@@ -7,7 +7,7 @@
 // The five kernels of §8.1 (SpMV is fully parallel, ILU0's inspector stays
 // too expensive — both excluded, as in the paper), each wired to: its
 // compile-time analysis, its index-array bindings on a concrete matrix,
-// its serial body, and its wavefront executor.
+// its serial body, and its executor over a CompiledSchedule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,13 +32,12 @@ struct WiredKernel {
   /// push-based ones use commutative atomic updates and match to 1e-9.
   bool PullBased = false;
   sds::deps::PipelineResult Analysis;
-  /// Per matrix: (bindings, serial body, wavefront body).
+  /// Per matrix: (bindings, serial body, scheduled body).
   struct Instance {
     sds::codegen::UFEnvironment Env;
     int N = 0;
     std::function<void()> Serial;
-    std::function<void(const sds::rt::WavefrontSchedule &)> Wavefront;
-    /// Compiled-schedule executor (post-pass framework shapes).
+    /// Executor over a schedule of any kind (buildSchedule()).
     std::function<void(const sds::rt::CompiledSchedule &)> Scheduled;
     /// Reset mutable state a run consumes (e.g. Gauss-Seidel's x); empty
     /// when runs are naturally idempotent.
@@ -74,9 +73,6 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.Env = driver::bindCSC(*L);
       I.N = L->N;
       I.Serial = [=] { forwardSolveCSCSerial(*L, *B, *X); };
-      I.Wavefront = [=](const WavefrontSchedule &S) {
-        forwardSolveCSCWavefront(*L, *B, *X, S);
-      };
       I.Scheduled = [=](const CompiledSchedule &S) {
         forwardSolveCSCScheduled(*L, *B, *X, S);
       };
@@ -101,9 +97,6 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.Env = driver::bindCSR(*L);
       I.N = L->N;
       I.Serial = [=] { forwardSolveCSRSerial(*L, *B, *X); };
-      I.Wavefront = [=](const WavefrontSchedule &S) {
-        forwardSolveCSRWavefront(*L, *B, *X, S);
-      };
       I.Scheduled = [=](const CompiledSchedule &S) {
         forwardSolveCSRScheduled(*L, *B, *X, S);
       };
@@ -129,9 +122,6 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.Env = driver::bindCSR(*A, A->diagonalPositions());
       I.N = A->N;
       I.Serial = [=] { gaussSeidelCSRSerial(*A, *B, *X); };
-      I.Wavefront = [=](const WavefrontSchedule &S) {
-        gaussSeidelCSRWavefront(*A, *B, *X, S);
-      };
       I.Scheduled = [=](const CompiledSchedule &S) {
         gaussSeidelCSRScheduled(*A, *B, *X, S);
       };
@@ -157,10 +147,6 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.Serial = [=] {
         L->Val = *Original;
         incompleteCholeskyCSCSerial(*L);
-      };
-      I.Wavefront = [=](const WavefrontSchedule &S) {
-        L->Val = *Original;
-        incompleteCholeskyCSCWavefront(*L, S);
       };
       I.Scheduled = [=](const CompiledSchedule &S) {
         L->Val = *Original;
@@ -191,10 +177,6 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.Serial = [=] {
         L->Val = *Original;
         leftCholeskyCSCSerial(*L);
-      };
-      I.Wavefront = [=](const WavefrontSchedule &S) {
-        L->Val = *Original;
-        leftCholeskyCSCWavefront(*L, S);
       };
       I.Scheduled = [=](const CompiledSchedule &S) {
         L->Val = *Original;

@@ -10,11 +10,11 @@
 // and printed as "-".
 //
 // Extended with the schedule post-pass comparison (DESIGN.md §14): every
-// (kernel, matrix) cell is also executed under the barrier LBC, coalesced,
-// barrier-free P2P, and vectorized schedules, and the end-to-end executor
-// times plus the machine-independent schedule shapes (waves/chunks/run
-// coverage at a fixed 8 threads) land in BENCH_schedule.json for the
-// regression gate.
+// (kernel, matrix) cell is executed under the barrier LBC, coalesced and
+// barrier-free P2P schedules; the barrier time also feeds the break-even
+// column. The end-to-end executor times plus the machine-independent
+// schedule shapes (waves/chunks at a fixed 8 threads) land in
+// BENCH_schedule.json for the regression gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,21 +65,18 @@ int main(int argc, char **argv) {
     std::printf(" %11s", M.Name.c_str());
   std::printf("   inspector/serial\n");
 
-  // The four executor shapes of the schedule comparison. LBC is the
+  // The three executor shapes of the schedule comparison. LBC is the
   // barrier baseline the pass framework starts from.
   struct Shape {
     const char *Label;
     ScheduleKind Kind;
-    double Seconds = 0;       ///< summed median executor time, all cells
-    uint64_t Waves8 = 0;      ///< schedule waves at fixed 8 threads
-    uint64_t Chunks8 = 0;     ///< non-empty chunks at fixed 8 threads
-    uint64_t VectorRuns8 = 0; ///< vector runs at fixed 8 threads
-    uint64_t VectorNodes8 = 0;
+    double Seconds = 0;   ///< summed median executor time, all cells
+    uint64_t Waves8 = 0;  ///< schedule waves at fixed 8 threads
+    uint64_t Chunks8 = 0; ///< non-empty chunks at fixed 8 threads
   };
   Shape Shapes[] = {{"barrier", ScheduleKind::LBC},
                     {"coalesced", ScheduleKind::Coalesced},
-                    {"p2p", ScheduleKind::P2P},
-                    {"vector", ScheduleKind::Vector}};
+                    {"p2p", ScheduleKind::P2P}};
   int Cells = 0, HighWaveCells = 0, HighWaveWins = 0;
   bool AllCertified = true, PullBitIdentical = true, AtomicWithinTol = true;
 
@@ -100,19 +97,9 @@ int main(int argc, char **argv) {
       TotalVisits += Insp.InspectorVisits;
       TotalEdges += Insp.Graph.numEdges();
       TotalInspT += InspT;
-      LBCConfig C;
-      C.NumThreads = Threads;
-      C.MinWorkPerThread = 256;
-      WavefrontSchedule S = scheduleLBC(Insp.Graph, C, I.NodeCost);
       double SerialT = bench::medianTimeOf(I.Serial);
-      double ExecT = bench::medianTimeOf([&] { I.Wavefront(S); });
       InspectorOverSerial += InspT / SerialT;
       ++KernelCells;
-      if (SerialT > ExecT)
-        std::printf(" %11.1f", (InspT + ExecT) / (SerialT - ExecT));
-      else
-        std::printf(" %11s", "-");
-      std::fflush(stdout);
 
       // -- Schedule post-pass comparison on this cell. ---------------------
       if (I.Reset)
@@ -138,7 +125,7 @@ int main(int argc, char **argv) {
         Sh.Seconds += T;
         if (Sh.Kind == ScheduleKind::LBC)
           CellBarrier = T;
-        else if (Sh.Kind != ScheduleKind::Vector)
+        else
           CellBest = std::min(CellBest, T); // the coalesced/P2P-vs-barrier win
         if (I.Output && !SerialOut.empty()) {
           std::vector<double> Out = I.Output();
@@ -157,11 +144,16 @@ int main(int argc, char **argv) {
         CompiledScheduleStats St = describeSchedule(CS8);
         Sh.Waves8 += St.Base.NumWaves;
         Sh.Chunks8 += St.NumChunks;
-        Sh.VectorRuns8 += St.VectorRuns;
-        Sh.VectorNodes8 += St.VectorNodes;
         if (Sh.Kind == ScheduleKind::LBC)
           BaseWaves8 = St.Base.NumWaves;
       }
+      // Break-even against the barrier (LBC) executor.
+      if (SerialT > CellBarrier)
+        std::printf(" %11.1f",
+                    (InspT + CellBarrier) / (SerialT - CellBarrier));
+      else
+        std::printf(" %11s", "-");
+      std::fflush(stdout);
       // "High wave count" is a property of the barrier schedule's shape
       // (deterministic), the win is a property of this machine's clock.
       if (BaseWaves8 > 64) {
@@ -209,8 +201,6 @@ int main(int argc, char **argv) {
   Sched.set("waves8_coalesced", Shapes[1].Waves8);
   Sched.set("chunks8_barrier", Shapes[0].Chunks8);
   Sched.set("chunks8_coalesced", Shapes[1].Chunks8);
-  Sched.set("vector_runs8", Shapes[3].VectorRuns8);
-  Sched.set("vector_nodes8", Shapes[3].VectorNodes8);
   Sched.set("high_wave_cells", static_cast<uint64_t>(HighWaveCells));
   Sched.set("high_wave_wins", static_cast<uint64_t>(HighWaveWins));
   Sched.set("certified", static_cast<uint64_t>(AllCertified ? 1 : 0));

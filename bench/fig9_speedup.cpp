@@ -53,9 +53,7 @@ int main(int argc, char **argv) {
   // Per-shape speedups from the schedule post-pass framework, printed as
   // a companion table and summarized per kind in BENCH_fig9.json.
   const std::pair<const char *, ScheduleKind> ShapeKinds[] = {
-      {"coalesced", ScheduleKind::Coalesced},
-      {"p2p", ScheduleKind::P2P},
-      {"vector", ScheduleKind::Vector}};
+      {"coalesced", ScheduleKind::Coalesced}, {"p2p", ScheduleKind::P2P}};
   std::map<std::string, double> ShapeSpeedupSum;
   std::vector<std::string> ShapeRows;
   for (bench::WiredKernel &K : Kernels) {
@@ -69,12 +67,21 @@ int main(int argc, char **argv) {
       TotalVisits += Insp.InspectorVisits;
       TotalEdges += Insp.Graph.numEdges();
       TotalInspSeconds += Insp.Seconds;
-      LBCConfig C;
-      C.NumThreads = Threads;
-      C.MinWorkPerThread = 256;
-      WavefrontSchedule S = scheduleLBC(Insp.Graph, C, I.NodeCost);
+      // Median executor time under `Kind` at this run's thread count.
+      auto TimeShape = [&](ScheduleKind Kind) {
+        ScheduleConfig SC;
+        SC.Kind = Kind;
+        SC.NumThreads = Threads;
+        SC.MinWorkPerThread = 256;
+        CompiledSchedule CS = buildSchedule(Insp.Graph, SC, I.NodeCost);
+        return bench::medianTimeOf([&] {
+          if (I.Reset)
+            I.Reset();
+          I.Scheduled(CS);
+        });
+      };
       double SerialT = bench::medianTimeOf(I.Serial);
-      double ExecT = bench::medianTimeOf([&] { I.Wavefront(S); });
+      double ExecT = TimeShape(ScheduleKind::LBC);
       SumSpeedup += SerialT / ExecT;
       ++Cells;
       std::printf(" %10.2fx", SerialT / ExecT);
@@ -82,16 +89,7 @@ int main(int argc, char **argv) {
 
       std::string ShapeRow = K.Name + " @ " + M.Name + ":";
       for (const auto &[Label, Kind] : ShapeKinds) {
-        ScheduleConfig SC;
-        SC.Kind = Kind;
-        SC.NumThreads = Threads;
-        SC.MinWorkPerThread = 256;
-        CompiledSchedule CS = buildSchedule(Insp.Graph, SC, I.NodeCost);
-        double ShapeT = bench::medianTimeOf([&] {
-          if (I.Reset)
-            I.Reset();
-          I.Scheduled(CS);
-        });
+        double ShapeT = TimeShape(Kind);
         ShapeSpeedupSum[Label] += SerialT / ShapeT;
         char Buf[48];
         std::snprintf(Buf, sizeof(Buf), "  %s %.2fx", Label,

@@ -157,11 +157,6 @@ void runTraced(const std::string &Key, const kernels::Kernel &K,
                   static_cast<unsigned long long>(SS.Base.WaveSizes[W]));
     std::printf("%s]\n", SS.Base.WaveSizes.size() > 8 ? " ..." : "");
   }
-  if (SC.Kind == rt::ScheduleKind::Vector)
-    std::printf("vector runs: %llu runs cover %llu nodes (%.1f%%)\n",
-                static_cast<unsigned long long>(SS.VectorRuns),
-                static_cast<unsigned long long>(SS.VectorNodes),
-                100.0 * SS.vectorCoverage());
   if (!rt::certifySchedule(Insp.Graph, CS)) {
     std::printf("schedule FAILED certification\n");
     return;
@@ -449,7 +444,7 @@ int main(int argc, char **argv) {
       ScheduleKind = rt::parseScheduleKind(Arg.substr(11));
       if (!ScheduleKind) {
         std::fprintf(stderr,
-                     "--schedule expects levels|lbc|coalesced|p2p|vector\n");
+                     "--schedule expects levels|lbc|coalesced|p2p\n");
         return 1;
       }
     } else if (Arg == "--budget-ms" && I + 1 < argc) {
@@ -480,7 +475,7 @@ int main(int argc, char **argv) {
     std::printf(
         "usage: %s [--trace out.json] [--stats] [--metrics[=PATH]] "
         "[--n N] [--threads N] "
-        "[--schedule=levels|lbc|coalesced|p2p|vector] "
+        "[--schedule=levels|lbc|coalesced|p2p] "
         "[--validate] [--guard=off|warn|fallback] [--budget-ms MS] "
         "[--emit-artifact=PATH] [--load-artifact=PATH] "
         "[--explain=<dep>|all] [--infer] "

@@ -61,8 +61,11 @@ int main() {
   std::vector<double> B = {2, 4, 1, 3};
   std::vector<double> XSerial, XParallel;
   forwardSolveCSRSerial(A, B, XSerial);
-  WavefrontSchedule S = scheduleLevelSets(Insp.Graph, 2);
-  forwardSolveCSRWavefront(A, B, XParallel, S);
+  ScheduleConfig SC;
+  SC.Kind = ScheduleKind::Levels;
+  SC.NumThreads = 2;
+  CompiledSchedule S = buildSchedule(Insp.Graph, SC);
+  forwardSolveCSRScheduled(A, B, XParallel, S);
 
   std::printf("\nSolution (serial vs wavefront):\n");
   bool OK = true;

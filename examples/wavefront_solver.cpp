@@ -12,7 +12,7 @@
 //   SDS_THREADS=8 wavefront_solver    # executor thread count
 //
 // Schedule shape (sds::rt schedule post-pass framework, DESIGN.md §14):
-//   --schedule=levels|lbc|coalesced|p2p|vector   executor schedule kind
+//   --schedule=levels|lbc|coalesced|p2p   executor schedule kind
 //                         (default: the artifact's recorded spec, else lbc)
 //
 // Robustness flags (sds::guard):
@@ -92,14 +92,14 @@ int main(int argc, char **argv) {
       Kind = parseScheduleKind(Arg.substr(11));
       if (!Kind) {
         std::fprintf(stderr,
-                     "--schedule expects levels|lbc|coalesced|p2p|vector\n");
+                     "--schedule expects levels|lbc|coalesced|p2p\n");
         return 1;
       }
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr,
                    "usage: %s [--validate] [--guard=off|warn|fallback] "
                    "[--budget-ms MS] [--metrics[=PATH]] "
-                   "[--schedule=levels|lbc|coalesced|p2p|vector] "
+                   "[--schedule=levels|lbc|coalesced|p2p] "
                    "[--emit-artifact=PATH] "
                    "[--load-artifact=PATH] [A.mtx]\n",
                    argv[0]);
@@ -220,11 +220,6 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(SS.Base.CriticalWork),
               SS.Base.achievedParallelism(),
               SS.P2P ? " (barrier-free P2P)" : "");
-  if (SC.Kind == ScheduleKind::Vector)
-    std::printf("vector runs: %llu runs cover %llu nodes (%.1f%%)\n",
-                static_cast<unsigned long long>(SS.VectorRuns),
-                static_cast<unsigned long long>(SS.VectorNodes),
-                100.0 * SS.vectorCoverage());
 
   // -- Executor (hundreds of times in a real solver). ----------------------
   std::vector<double> B(static_cast<size_t>(L.N), 1.0), XS, XP;

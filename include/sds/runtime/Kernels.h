@@ -1,12 +1,12 @@
-//===- Kernels.h - Numeric kernels: serial and wavefront --------*- C++ -*-===//
+//===- Kernels.h - Numeric kernels: serial and scheduled --------*- C++ -*-===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
 // Runnable counterparts of the Table-2 kernels: a serial reference
-// implementation (the baseline of Table 5 / Figure 9) and a wavefront
-// executor that runs a WavefrontSchedule with OpenMP threads. The
+// implementation (the baseline of Table 5 / Figure 9) and an executor
+// that runs a CompiledSchedule (Schedule.h) with OpenMP threads. The
 // executors perform exactly the per-iteration work of the serial loops;
 // reduction updates that may race within a wave use atomic updates (the
 // dependence model in kernels/ excludes update-update ordering for this
@@ -59,34 +59,15 @@ void incompleteLU0CSRSerial(CSRMatrix &A);
 void leftCholeskyCSCSerial(CSCMatrix &L);
 
 //===----------------------------------------------------------------------===//
-// Wavefront executors
-//===----------------------------------------------------------------------===//
-
-/// Execute iterations of the outer loop according to `S`, wave by wave;
-/// iterations inside one wave run on OpenMP threads.
-void forwardSolveCSRWavefront(const CSRMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const WavefrontSchedule &S);
-void forwardSolveCSCWavefront(const CSCMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const WavefrontSchedule &S);
-void gaussSeidelCSRWavefront(const CSRMatrix &A, const std::vector<double> &B,
-                             std::vector<double> &X,
-                             const WavefrontSchedule &S);
-void incompleteCholeskyCSCWavefront(CSCMatrix &L, const WavefrontSchedule &S);
-void leftCholeskyCSCWavefront(CSCMatrix &L, const WavefrontSchedule &S);
-
-//===----------------------------------------------------------------------===//
 // Compiled-schedule executors
 //===----------------------------------------------------------------------===//
 //
-// The post-pass-framework counterparts (Schedule.h): run a
-// CompiledSchedule of any kind. Barrier kinds (levels/lbc/coalesced) use
-// the per-wave barrier loop; a P2P schedule runs barrier-free on atomic
-// remaining-predecessor counters; a Vector schedule executes long
-// consecutive-id runs as contiguous blocks. All five produce the same
-// results as their serial reference (bit-identical for the pull-based
-// kernels; last-ulp for the two that use commutative atomic updates —
+// Run a CompiledSchedule of any kind (build one with buildSchedule()).
+// Barrier kinds (levels/lbc/coalesced) run wave by wave with a barrier
+// between waves; a P2P schedule runs barrier-free on atomic
+// remaining-predecessor counters. All five produce the same results as
+// their serial reference (bit-identical for the pull-based kernels;
+// last-ulp for the two that use commutative atomic updates —
 // DESIGN.md §14).
 
 void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,

@@ -7,10 +7,10 @@
 // Post-pass framework over wavefront schedules (DESIGN.md §14): a base
 // schedule (level sets or LBC) is transformed by composable passes into a
 // CompiledSchedule the executors in Kernels.h can run without per-wave
-// barriers (P2P ready propagation), with fewer/fatter waves (cache-aware
-// coalescing), or with contiguous vectorizable runs. The schedule kind +
-// pass knobs are a named plan dimension: artifact::CompiledKernel
-// serializes them and engine::Engine keys its matrix-plan tier on them.
+// barriers (P2P ready propagation) or with fewer/fatter waves (cache-aware
+// coalescing). The schedule kind + pass knobs are a named plan dimension:
+// artifact::CompiledKernel serializes them and engine::Engine keys its
+// matrix-plan tier on them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,6 @@ enum class ScheduleKind {
   LBC,       ///< load-balanced level coarsening (scheduleLBC)
   Coalesced, ///< LBC + short-wave merging into component-packed chunks
   P2P,       ///< coalesced shape, barriers replaced by ready counters
-  Vector,    ///< coalesced shape + contiguous vectorizable-run blocks
 };
 
 const char *scheduleKindName(ScheduleKind K);
@@ -57,11 +56,8 @@ struct ScheduleConfig {
   /// Coalescing merges consecutive base waves while the merged wave's
   /// cost stays below CoalesceFactor * MinWorkPerThread * NumThreads.
   double CoalesceFactor = 2.0;
-  /// Runs shorter than this execute node-by-node; longer runs become
-  /// contiguous blocks (Vector kind only).
-  int MinVectorRun = 4;
 
-  /// Cache-key string, e.g. "p2p/w64/c2/v4/t8".
+  /// Cache-key string, e.g. "p2p/w64/c2/t8".
   std::string key() const;
 };
 
@@ -69,22 +65,12 @@ struct ScheduleConfig {
 // Compiled schedules
 //===----------------------------------------------------------------------===//
 
-/// A maximal run of consecutive iteration ids inside one chunk with no
-/// intra-run dependence edges: positions [Pos, Pos+Len) of the chunk hold
-/// ids Chunk[Pos], Chunk[Pos]+1, ..., Chunk[Pos]+Len-1. Every kernel body
-/// is one slot program per node, so equal-length runs are block-executable
-/// as a single contiguous loop the compiler can vectorize.
-struct VectorRun {
-  int Pos = 0; ///< index into the chunk
-  int Len = 1; ///< number of consecutive ids
-};
-
 /// A schedule lowered for execution: the wave/chunk shape plus everything
 /// the executor needs that the base WavefrontSchedule lacks — the P2P
 /// ready-counter seed (in-degrees + a private copy of the successor CSR,
 /// so the executor does not dangle when the DependenceGraph is
-/// re-finalized or freed), and the vector-run decomposition of every
-/// chunk. Built by buildSchedule(); validated by certifySchedule().
+/// re-finalized or freed). Built by buildSchedule(); validated by
+/// certifySchedule().
 struct CompiledSchedule {
   WavefrontSchedule Waves;
   ScheduleConfig Config;
@@ -92,13 +78,6 @@ struct CompiledSchedule {
   /// True: executors skip the per-wave barrier and gate each node on an
   /// atomic remaining-predecessor counter instead.
   bool UsesP2P = false;
-  /// True: Runs decomposes every chunk; executors run long runs as
-  /// contiguous [Begin, End) blocks.
-  bool HasRuns = false;
-
-  /// Runs[w][t] covers chunk Waves.Waves[w][t] exactly, in order; only
-  /// meaningful when HasRuns.
-  std::vector<std::vector<std::vector<VectorRun>>> Runs;
 
   /// P2P state: per-node predecessor count and a self-contained successor
   /// CSR snapshot of the graph the schedule was built from.
@@ -107,9 +86,6 @@ struct CompiledSchedule {
   std::vector<int> SuccDst;
 
   int numWaves() const { return Waves.numWaves(); }
-  int numNodes() const {
-    return static_cast<int>(InDegree.empty() ? 0 : InDegree.size());
-  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -133,17 +109,12 @@ public:
 /// largest-first and sorted ascending (so intra-chunk edges stay ordered).
 std::unique_ptr<SchedulePass> createCoalescePass();
 
-/// Decompose every chunk into maximal consecutive-id, edge-free runs and
-/// set HasRuns.
-std::unique_ptr<SchedulePass> createVectorRunPass();
-
 /// Snapshot in-degrees + the successor CSR into the schedule and set
 /// UsesP2P — the executors then run barrier-free.
 std::unique_ptr<SchedulePass> createP2PLoweringPass();
 
 /// The pass pipeline a config implies: {} for Levels/LBC,
-/// {coalesce} for Coalesced, {coalesce, p2p} for P2P,
-/// {coalesce, vector-runs} for Vector.
+/// {coalesce} for Coalesced, {coalesce, p2p} for P2P.
 std::vector<std::unique_ptr<SchedulePass>>
 schedulePassesFor(const ScheduleConfig &C);
 
@@ -157,33 +128,18 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
 // Certification and stats
 //===----------------------------------------------------------------------===//
 
-/// Generic schedule certificate (the brute-force DAG cover from
-/// driver_parallel_test, promoted to the library): every node scheduled
-/// exactly once and every edge's source in a strictly earlier wave or
-/// earlier in the same thread's chunk.
-bool certifySchedule(const DependenceGraph &G, const WavefrontSchedule &S);
-
-/// CompiledSchedule certificate: the wave/chunk cover above, plus — when
-/// HasRuns — that Runs partitions every chunk into consecutive-id runs
-/// with no intra-run edges, and — when UsesP2P — that the in-degree seed
-/// matches the graph.
+/// CompiledSchedule certificate: every node scheduled exactly once, every
+/// edge's source in a strictly earlier wave or earlier in the same
+/// thread's chunk (WavefrontSchedule::respects), and — when UsesP2P —
+/// the in-degree seed and successor snapshot match the graph.
 bool certifySchedule(const DependenceGraph &G, const CompiledSchedule &S);
 
 /// Shape summary of a compiled schedule: the base ScheduleStats plus the
-/// chunk count and vector-run coverage (nodes inside runs of length >=
-/// Config.MinVectorRun, as a fraction of all nodes).
+/// chunk count.
 struct CompiledScheduleStats {
   ScheduleStats Base;
-  uint64_t NumChunks = 0;     ///< non-empty per-thread chunks, all waves
-  uint64_t VectorRuns = 0;    ///< runs of length >= MinVectorRun
-  uint64_t VectorNodes = 0;   ///< nodes covered by those runs
+  uint64_t NumChunks = 0; ///< non-empty per-thread chunks, all waves
   bool P2P = false;
-
-  double vectorCoverage() const {
-    return Base.TotalNodes ? static_cast<double>(VectorNodes) /
-                                 static_cast<double>(Base.TotalNodes)
-                           : 0.0;
-  }
 };
 
 CompiledScheduleStats describeSchedule(const CompiledSchedule &S);

@@ -320,8 +320,6 @@ Value payloadJSON(const CompiledKernel &CK) {
                 Value(std::string(rt::scheduleKindName(CK.Schedule.Kind))));
   Sched.emplace("min_work_per_thread", Value(CK.Schedule.MinWorkPerThread));
   Sched.emplace("coalesce_factor", Value(CK.Schedule.CoalesceFactor));
-  Sched.emplace("min_vector_run",
-                Value(static_cast<int64_t>(CK.Schedule.MinVectorRun)));
   Root.emplace("schedule", Value(std::move(Sched)));
   // Additive: the inference fingerprint a speculated analysis ran against,
   // as 16 hex digits (uint64 range exceeds JSON's signed-int lane). Absent
@@ -919,12 +917,6 @@ Status decodePayload(const Value &V, CompiledKernel &Out) {
             reqNum(Sched, "coalesce_factor", CK.Schedule.CoalesceFactor);
         !S.ok())
       return S.withContext("schedule");
-    int64_t MinRun = 0;
-    if (Status S = reqInt(Sched, "min_vector_run", MinRun); !S.ok())
-      return S.withContext("schedule");
-    if (MinRun < 1)
-      return support::parseError("schedule.min_vector_run: expected >= 1");
-    CK.Schedule.MinVectorRun = static_cast<int>(MinRun);
   }
   std::string FpHex;
   if (Status S = optStr(O, "inferred_fingerprint", FpHex); !S.ok())
@@ -1008,8 +1000,7 @@ std::string abiFingerprint() {
   Blob += ";sched:";
   for (rt::ScheduleKind K :
        {rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
-        rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P,
-        rt::ScheduleKind::Vector})
+        rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P})
     Blob += std::string(rt::scheduleKindName(K)) + ",";
   return "v" + std::to_string(schema::kVersion) + "-" + fnv1aHex(Blob);
 }

@@ -1,4 +1,4 @@
-//===- Kernels.cpp - Numeric kernels: serial and wavefront ----------------===//
+//===- Kernels.cpp - Numeric kernels: serial and scheduled ----------------===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
@@ -230,22 +230,22 @@ void leftCholeskyCSCSerial(CSCMatrix &L) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wavefront executors
+// Compiled-schedule executors
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Thread 0's per-wave span: opened before the wave's work, closed after
-/// the barrier, so its duration includes the imbalance wait — exactly the
-/// per-level execution time behind Figure 9. Inert (no clock reads, no
-/// allocation) when tracing is off.
 /// The per-wave latency distribution (ns, barrier wait included), fed by
-/// thread 0 of every wavefront executor. One shared registry entry.
+/// thread 0 of every barrier-mode executor run. One shared registry entry.
 obs::Histogram &waveHistogram() {
   static obs::Histogram &H = obs::histogram("rt.wave_ns");
   return H;
 }
 
+/// Thread 0's per-wave span: opened before the wave's work, closed after
+/// the barrier, so its duration includes the imbalance wait — exactly the
+/// per-level execution time behind Figure 9. Inert (no clock reads, no
+/// allocation) when tracing is off.
 std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
                                   const std::vector<std::vector<int>> &Parts) {
   if (Thread != 0 || !obs::enabled())
@@ -258,39 +258,6 @@ std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
     Nodes += Part.size();
   Sp->tag("nodes", static_cast<int64_t>(Nodes));
   return Sp;
-}
-
-/// Run `Body(Iteration)` over the schedule: one OpenMP thread per
-/// partition, a barrier between waves.
-template <typename Fn>
-void runSchedule(const WavefrontSchedule &S, Fn &&Body) {
-  int NumThreads =
-      S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
-  obs::Span Total("wavefront.execute", "rt");
-  Total.tag("waves", static_cast<int64_t>(S.Waves.size()));
-  Total.tag("threads", static_cast<int64_t>(NumThreads));
-#ifdef _OPENMP
-#pragma omp parallel num_threads(NumThreads)
-#endif
-  {
-    int T = omp_get_thread_num();
-    // Strided so a smaller team (notably the serial one-thread team of an
-    // OpenMP-off build) still covers every partition of the wave.
-    size_t Team = static_cast<size_t>(omp_get_num_threads());
-    for (size_t W = 0; W < S.Waves.size(); ++W) {
-      const auto &Wave = S.Waves[W];
-      std::optional<obs::Span> Sp = waveSpan(T, W, Wave);
-      uint64_t WT0 = (T == 0 && obs::metricsEnabled()) ? obs::nowNs() : 0;
-      for (size_t P = static_cast<size_t>(T); P < Wave.size(); P += Team)
-        for (int Node : Wave[P])
-          Body(Node);
-#ifdef _OPENMP
-#pragma omp barrier
-#endif
-      if (WT0)
-        waveHistogram().record(obs::nowNs() - WT0);
-    }
-  }
 }
 
 /// Stall distributions (ns, per thread per executor run), recorded only
@@ -307,50 +274,28 @@ obs::Histogram &p2pStallHistogram() {
   return H;
 }
 
-/// Execute one chunk: node-by-node via `Body(Node, Thread)`, or — when
-/// the schedule carries runs — long consecutive-id runs as one
-/// `Block(Begin, End, Thread)` call (a contiguous loop with no
-/// dependences inside, the vectorizable case).
-template <typename BodyFn, typename BlockFn>
-void runChunk(const CompiledSchedule &CS, size_t W, size_t P, int T,
-              BodyFn &&Body, BlockFn &&Block) {
-  const std::vector<int> &Chunk = CS.Waves.Waves[W][P];
-  if (!CS.HasRuns) {
-    for (int Node : Chunk)
-      Body(Node, T);
-    return;
-  }
-  for (const VectorRun &R : CS.Runs[W][P]) {
-    int Begin = Chunk[static_cast<size_t>(R.Pos)];
-    if (R.Len >= CS.Config.MinVectorRun) {
-      Block(Begin, Begin + R.Len, T);
-    } else {
-      for (int K = 0; K < R.Len; ++K)
-        Body(Chunk[static_cast<size_t>(R.Pos + K)], T);
-    }
-  }
-}
-
-/// Barrier-mode compiled-schedule loop: runSchedule's shape, but with the
-/// run decomposition and a barrier-stall histogram.
-template <typename BodyFn, typename BlockFn>
-void runBarrierCompiled(const CompiledSchedule &CS, BodyFn &&Body,
-                        BlockFn &&Block) {
+/// Barrier-mode loop: one OpenMP thread per partition, a barrier between
+/// waves.
+template <typename BodyFn>
+void runBarrierCompiled(const CompiledSchedule &CS, BodyFn &&Body) {
   const WavefrontSchedule &S = CS.Waves;
-  int NumThreads =
+  [[maybe_unused]] int NumThreads = // read only by the OpenMP pragma
       S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
 #ifdef _OPENMP
 #pragma omp parallel num_threads(NumThreads)
 #endif
   {
     int T = omp_get_thread_num();
+    // Strided so a smaller team (notably the serial one-thread team of an
+    // OpenMP-off build) still covers every partition of the wave.
     size_t Team = static_cast<size_t>(omp_get_num_threads());
     for (size_t W = 0; W < S.Waves.size(); ++W) {
       const auto &Wave = S.Waves[W];
       std::optional<obs::Span> Sp = waveSpan(T, W, Wave);
       uint64_t WT0 = (T == 0 && obs::metricsEnabled()) ? obs::nowNs() : 0;
       for (size_t P = static_cast<size_t>(T); P < Wave.size(); P += Team)
-        runChunk(CS, W, P, T, Body, Block);
+        for (int Node : Wave[P])
+          Body(Node, T);
       uint64_t BT0 = obs::metricsEnabled() ? obs::nowNs() : 0;
 #ifdef _OPENMP
 #pragma omp barrier
@@ -377,11 +322,10 @@ void runBarrierCompiled(const CompiledSchedule &CS, BodyFn &&Body,
 /// predecessor of v strictly earlier in that order; each is owned by some
 /// thread and precedes that thread's first unexecuted node (>= v), so it
 /// has already executed — v's counter is zero and its owner proceeds.
-template <typename BodyFn, typename BlockFn>
-void runP2PCompiled(const CompiledSchedule &CS, BodyFn &&Body,
-                    BlockFn &&Block) {
+template <typename BodyFn>
+void runP2PCompiled(const CompiledSchedule &CS, BodyFn &&Body) {
   const WavefrontSchedule &S = CS.Waves;
-  int NumThreads =
+  [[maybe_unused]] int NumThreads = // read only by the OpenMP pragma
       S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
   size_t N = CS.InDegree.size();
   std::unique_ptr<std::atomic<int>[]> Remaining(new std::atomic<int>[N]);
@@ -416,34 +360,24 @@ void runP2PCompiled(const CompiledSchedule &CS, BodyFn &&Body,
         Remaining[static_cast<size_t>(CS.SuccDst[I])].fetch_sub(
             1, std::memory_order_release);
     };
-    auto GatedBody = [&](int Node, int Thread) {
-      Await(Node);
-      Body(Node, Thread);
-      Retire(Node);
-    };
-    auto GatedBlock = [&](int Begin, int End, int Thread) {
-      for (int Node = Begin; Node < End; ++Node)
-        Await(Node);
-      Block(Begin, End, Thread);
-      for (int Node = Begin; Node < End; ++Node)
-        Retire(Node);
-    };
     for (size_t W = 0; W < S.Waves.size(); ++W)
       for (size_t P = static_cast<size_t>(T); P < S.Waves[W].size();
            P += Team)
-        runChunk(CS, W, P, T, GatedBody, GatedBlock);
+        for (int Node : S.Waves[W][P]) {
+          Await(Node);
+          Body(Node, T);
+          Retire(Node);
+        }
     if (StallNs)
       p2pStallHistogram().record(StallNs);
   }
 }
 
-/// Entry point: dispatch a CompiledSchedule to the barrier or P2P loop.
-/// `Body(Node, Thread)` runs one iteration; `Block(Begin, End, Thread)`
-/// runs the contiguous iterations [Begin, End) (only called when the
-/// schedule has runs and the run clears Config.MinVectorRun).
-template <typename BodyFn, typename BlockFn>
-void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body,
-                         BlockFn &&Block) {
+/// Entry point: run `Body(Node, Thread)` once per node of the schedule,
+/// through the barrier or the P2P loop. `Thread` is the executing team
+/// member, always < the schedule's partition width.
+template <typename BodyFn>
+void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
   int NumThreads = CS.Waves.Waves.empty()
                        ? 1
                        : static_cast<int>(CS.Waves.Waves[0].size());
@@ -452,130 +386,25 @@ void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body,
   Total.tag("threads", static_cast<int64_t>(NumThreads));
   Total.tag("kind", scheduleKindName(CS.Config.Kind));
   if (CS.UsesP2P)
-    runP2PCompiled(CS, Body, Block);
+    runP2PCompiled(CS, Body);
   else
-    runBarrierCompiled(CS, Body, Block);
+    runBarrierCompiled(CS, Body);
 }
 
 } // namespace
-
-void forwardSolveCSRWavefront(const CSRMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const WavefrontSchedule &S) {
-  X.assign(B.begin(), B.end());
-  double *XP = X.data();
-  runSchedule(S, [&](int I) {
-    double Tmp = B[static_cast<size_t>(I)];
-    int End = L.RowPtr[I + 1] - 1;
-    for (int K = L.RowPtr[I]; K < End; ++K)
-      Tmp -= L.Val[static_cast<size_t>(K)] *
-             XP[L.Col[static_cast<size_t>(K)]];
-    XP[I] = Tmp / L.Val[static_cast<size_t>(End)];
-  });
-}
-
-void forwardSolveCSCWavefront(const CSCMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const WavefrontSchedule &S) {
-  X.assign(B.begin(), B.end());
-  double *XP = X.data();
-  runSchedule(S, [&](int J) {
-    XP[J] /= L.Val[static_cast<size_t>(L.ColPtr[J])];
-    double XJ = XP[J];
-    for (int P = L.ColPtr[J] + 1; P < L.ColPtr[J + 1]; ++P) {
-      double Delta = L.Val[static_cast<size_t>(P)] * XJ;
-      // Updates to later rows may race with other columns in this wave;
-      // they commute, so an atomic subtraction suffices.
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-      XP[L.RowIdx[static_cast<size_t>(P)]] -= Delta;
-    }
-  });
-}
-
-void gaussSeidelCSRWavefront(const CSRMatrix &A, const std::vector<double> &B,
-                             std::vector<double> &X,
-                             const WavefrontSchedule &S) {
-  double *XP = X.data();
-  runSchedule(S, [&](int I) {
-    double Sum = B[static_cast<size_t>(I)];
-    double Diag = 0;
-    for (int K = A.RowPtr[I]; K < A.RowPtr[I + 1]; ++K) {
-      int C = A.Col[static_cast<size_t>(K)];
-      if (C == I)
-        Diag = A.Val[static_cast<size_t>(K)];
-      else
-        Sum -= A.Val[static_cast<size_t>(K)] * XP[C];
-    }
-    XP[I] = Sum / Diag;
-  });
-}
-
-void incompleteCholeskyCSCWavefront(CSCMatrix &L,
-                                    const WavefrontSchedule &S) {
-  runSchedule(S, [&](int I) { ic0Column<true>(L, I); });
-}
-
-void leftCholeskyCSCWavefront(CSCMatrix &L, const WavefrontSchedule &S) {
-  std::vector<double> AVal = L.Val;
-  PruneSets Rows = buildPruneSets(L);
-  int NumThreads =
-      S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
-  obs::Span Total("wavefront.execute", "rt");
-  Total.tag("waves", static_cast<int64_t>(S.Waves.size()));
-  Total.tag("threads", static_cast<int64_t>(NumThreads));
-  // One gather buffer per thread.
-  std::vector<std::vector<double>> W(
-      static_cast<size_t>(NumThreads),
-      std::vector<double>(static_cast<size_t>(L.N), 0.0));
-#ifdef _OPENMP
-#pragma omp parallel num_threads(NumThreads)
-#endif
-  {
-    int T = omp_get_thread_num();
-    // Strided like runSchedule: a one-thread team (OpenMP-off build)
-    // walks every partition; the gather buffer is per *executing* thread.
-    size_t Team = static_cast<size_t>(omp_get_num_threads());
-    for (size_t WaveI = 0; WaveI < S.Waves.size(); ++WaveI) {
-      const auto &Wave = S.Waves[WaveI];
-      std::optional<obs::Span> Sp = waveSpan(T, WaveI, Wave);
-      uint64_t WT0 = (T == 0 && obs::metricsEnabled()) ? obs::nowNs() : 0;
-      for (size_t P = static_cast<size_t>(T); P < Wave.size(); P += Team)
-        for (int J : Wave[P])
-          leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
-#ifdef _OPENMP
-#pragma omp barrier
-#endif
-      if (WT0)
-        waveHistogram().record(obs::nowNs() - WT0);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Compiled-schedule executors
-//===----------------------------------------------------------------------===//
 
 void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,
                               std::vector<double> &X,
                               const CompiledSchedule &S) {
   X.assign(B.begin(), B.end());
   double *XP = X.data();
-  auto Row = [&](int I) {
+  runCompiledSchedule(S, [&](int I, int) {
     double Tmp = B[static_cast<size_t>(I)];
     int End = L.RowPtr[I + 1] - 1;
     for (int K = L.RowPtr[I]; K < End; ++K)
       Tmp -= L.Val[static_cast<size_t>(K)] * XP[L.Col[static_cast<size_t>(K)]];
     XP[I] = Tmp / L.Val[static_cast<size_t>(End)];
-  };
-  runCompiledSchedule(
-      S, [&](int I, int) { Row(I); },
-      [&](int Begin, int End, int) {
-        // No dependence inside the run: a straight contiguous row loop.
-        for (int I = Begin; I < End; ++I)
-          Row(I);
-      });
+  });
 }
 
 void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
@@ -583,7 +412,7 @@ void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
                               const CompiledSchedule &S) {
   X.assign(B.begin(), B.end());
   double *XP = X.data();
-  auto Col = [&](int J) {
+  runCompiledSchedule(S, [&](int J, int) {
     XP[J] /= L.Val[static_cast<size_t>(L.ColPtr[J])];
     double XJ = XP[J];
     for (int P = L.ColPtr[J] + 1; P < L.ColPtr[J + 1]; ++P) {
@@ -595,20 +424,14 @@ void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
 #endif
       XP[L.RowIdx[static_cast<size_t>(P)]] -= Delta;
     }
-  };
-  runCompiledSchedule(
-      S, [&](int J, int) { Col(J); },
-      [&](int Begin, int End, int) {
-        for (int J = Begin; J < End; ++J)
-          Col(J);
-      });
+  });
 }
 
 void gaussSeidelCSRScheduled(const CSRMatrix &A, const std::vector<double> &B,
                              std::vector<double> &X,
                              const CompiledSchedule &S) {
   double *XP = X.data();
-  auto Row = [&](int I) {
+  runCompiledSchedule(S, [&](int I, int) {
     double Sum = B[static_cast<size_t>(I)];
     double Diag = 0;
     for (int K = A.RowPtr[I]; K < A.RowPtr[I + 1]; ++K) {
@@ -619,22 +442,11 @@ void gaussSeidelCSRScheduled(const CSRMatrix &A, const std::vector<double> &B,
         Sum -= A.Val[static_cast<size_t>(K)] * XP[C];
     }
     XP[I] = Sum / Diag;
-  };
-  runCompiledSchedule(
-      S, [&](int I, int) { Row(I); },
-      [&](int Begin, int End, int) {
-        for (int I = Begin; I < End; ++I)
-          Row(I);
-      });
+  });
 }
 
 void incompleteCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
-  runCompiledSchedule(
-      S, [&](int I, int) { ic0Column<true>(L, I); },
-      [&](int Begin, int End, int) {
-        for (int I = Begin; I < End; ++I)
-          ic0Column<true>(L, I);
-      });
+  runCompiledSchedule(S, [&](int I, int) { ic0Column<true>(L, I); });
 }
 
 void leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
@@ -648,15 +460,9 @@ void leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
   std::vector<std::vector<double>> W(
       static_cast<size_t>(NumThreads),
       std::vector<double>(static_cast<size_t>(L.N), 0.0));
-  runCompiledSchedule(
-      S,
-      [&](int J, int T) {
-        leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
-      },
-      [&](int Begin, int End, int T) {
-        for (int J = Begin; J < End; ++J)
-          leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
-      });
+  runCompiledSchedule(S, [&](int J, int T) {
+    leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -32,8 +32,6 @@ const char *scheduleKindName(ScheduleKind K) {
     return "coalesced";
   case ScheduleKind::P2P:
     return "p2p";
-  case ScheduleKind::Vector:
-    return "vector";
   }
   return "?";
 }
@@ -47,16 +45,13 @@ std::optional<ScheduleKind> parseScheduleKind(std::string_view Name) {
     return ScheduleKind::Coalesced;
   if (Name == "p2p")
     return ScheduleKind::P2P;
-  if (Name == "vector")
-    return ScheduleKind::Vector;
   return std::nullopt;
 }
 
 std::string ScheduleConfig::key() const {
   char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "%s/w%g/c%g/v%d/t%d",
-                scheduleKindName(Kind), MinWorkPerThread, CoalesceFactor,
-                MinVectorRun, NumThreads);
+  std::snprintf(Buf, sizeof(Buf), "%s/w%g/c%g/t%d", scheduleKindName(Kind),
+                MinWorkPerThread, CoalesceFactor, NumThreads);
   return Buf;
 }
 
@@ -140,9 +135,9 @@ connectedComponents(const DependenceGraph &G, const std::vector<int> &Nodes,
 /// edge stays inside one chunk), ordered by their minimal node id and
 /// assigned to threads as contiguous cost-balanced groups — consecutive
 /// iteration ids land on the same thread, which is what makes the
-/// vector-run pass and the row-footprint locality work downstream. Each
-/// chunk is sorted ascending: dependence edges always point to larger
-/// iterations, so ascending order preserves intra-chunk dependence order.
+/// row-footprint locality work downstream. Each chunk is sorted
+/// ascending: dependence edges always point to larger iterations, so
+/// ascending order preserves intra-chunk dependence order.
 std::vector<std::vector<int>>
 packComponents(const DependenceGraph &G, std::vector<int> Nodes,
                int NumThreads, const std::vector<double> &NodeCost) {
@@ -239,53 +234,6 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// Vector-run pass
-//===----------------------------------------------------------------------===//
-
-class VectorRunPass : public SchedulePass {
-public:
-  const char *name() const override { return "vector-runs"; }
-
-  void run(const DependenceGraph &G, const std::vector<double> &NodeCost,
-           CompiledSchedule &S) override {
-    (void)NodeCost;
-    constexpr int Inf = std::numeric_limits<int>::max();
-    auto FirstSucc = [&](int Node) {
-      std::span<const int> Succ = G.successors(Node);
-      return Succ.empty() ? Inf : Succ.front();
-    };
-    S.Runs.assign(S.Waves.Waves.size(), {});
-    for (size_t W = 0; W < S.Waves.Waves.size(); ++W) {
-      const auto &Wave = S.Waves.Waves[W];
-      S.Runs[W].resize(Wave.size());
-      for (size_t T = 0; T < Wave.size(); ++T) {
-        const std::vector<int> &Chunk = Wave[T];
-        std::vector<VectorRun> &Runs = S.Runs[W][T];
-        size_t I = 0;
-        while (I < Chunk.size()) {
-          // Grow [B, J): ids must stay consecutive and no successor of an
-          // earlier member may land on the id being added. Successors are
-          // sorted and forward-only, so tracking the minimum first
-          // successor of the members suffices: any in-run edge target
-          // would be <= the last id of the run.
-          size_t B = I;
-          int MinSucc = FirstSucc(Chunk[B]);
-          size_t J = I + 1;
-          while (J < Chunk.size() && Chunk[J] == Chunk[J - 1] + 1 &&
-                 MinSucc > Chunk[J]) {
-            MinSucc = std::min(MinSucc, FirstSucc(Chunk[J]));
-            ++J;
-          }
-          Runs.push_back({static_cast<int>(B), static_cast<int>(J - B)});
-          I = J;
-        }
-      }
-    }
-    S.HasRuns = true;
-  }
-};
-
-//===----------------------------------------------------------------------===//
 // P2P lowering pass
 //===----------------------------------------------------------------------===//
 
@@ -317,9 +265,6 @@ public:
 std::unique_ptr<SchedulePass> createCoalescePass() {
   return std::make_unique<CoalescePass>();
 }
-std::unique_ptr<SchedulePass> createVectorRunPass() {
-  return std::make_unique<VectorRunPass>();
-}
 std::unique_ptr<SchedulePass> createP2PLoweringPass() {
   return std::make_unique<P2PLoweringPass>();
 }
@@ -337,10 +282,6 @@ schedulePassesFor(const ScheduleConfig &C) {
   case ScheduleKind::P2P:
     Passes.push_back(createCoalescePass());
     Passes.push_back(createP2PLoweringPass());
-    break;
-  case ScheduleKind::Vector:
-    Passes.push_back(createCoalescePass());
-    Passes.push_back(createVectorRunPass());
     break;
   }
   return Passes;
@@ -374,7 +315,6 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
     obs::metricCounter("schedule.built").add(1);
     obs::gauge("schedule.waves").set(St.Base.NumWaves);
     obs::gauge("schedule.chunks").set(static_cast<double>(St.NumChunks));
-    obs::gauge("schedule.vector_coverage").set(St.vectorCoverage());
   }
   return S;
 }
@@ -383,47 +323,9 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
 // Certification
 //===----------------------------------------------------------------------===//
 
-bool certifySchedule(const DependenceGraph &G, const WavefrontSchedule &S) {
-  return S.respects(G);
-}
-
 bool certifySchedule(const DependenceGraph &G, const CompiledSchedule &S) {
   if (!S.Waves.respects(G))
     return false;
-  if (S.HasRuns) {
-    if (S.Runs.size() != S.Waves.Waves.size())
-      return false;
-    for (size_t W = 0; W < S.Runs.size(); ++W) {
-      if (S.Runs[W].size() != S.Waves.Waves[W].size())
-        return false;
-      for (size_t T = 0; T < S.Runs[W].size(); ++T) {
-        const std::vector<int> &Chunk = S.Waves.Waves[W][T];
-        size_t Pos = 0;
-        for (const VectorRun &R : S.Runs[W][T]) {
-          // Runs tile the chunk in order...
-          if (R.Len < 1 || static_cast<size_t>(R.Pos) != Pos ||
-              Pos + static_cast<size_t>(R.Len) > Chunk.size())
-            return false;
-          int First = Chunk[Pos];
-          int Last = Chunk[Pos + static_cast<size_t>(R.Len) - 1];
-          // ...with consecutive ids...
-          if (Last - First + 1 != R.Len)
-            return false;
-          for (int K = 1; K < R.Len; ++K)
-            if (Chunk[Pos + static_cast<size_t>(K)] != First + K)
-              return false;
-          // ...and no dependence edge inside the run.
-          for (int K = 0; K < R.Len; ++K)
-            for (int V : G.successors(First + K))
-              if (V >= First && V <= Last)
-                return false;
-          Pos += static_cast<size_t>(R.Len);
-        }
-        if (Pos != Chunk.size())
-          return false;
-      }
-    }
-  }
   if (S.UsesP2P) {
     int N = G.numNodes();
     if (static_cast<int>(S.InDegree.size()) != N ||
@@ -456,14 +358,6 @@ CompiledScheduleStats describeSchedule(const CompiledSchedule &S) {
     for (const auto &Chunk : Wave)
       if (!Chunk.empty())
         ++St.NumChunks;
-  if (S.HasRuns)
-    for (const auto &Wave : S.Runs)
-      for (const auto &Runs : Wave)
-        for (const VectorRun &R : Runs)
-          if (R.Len >= S.Config.MinVectorRun) {
-            ++St.VectorRuns;
-            St.VectorNodes += static_cast<uint64_t>(R.Len);
-          }
   return St;
 }
 

@@ -330,6 +330,20 @@ void expectRejected(const std::string &Blob, const std::string &MsgSubstr,
   EXPECT_TRUE(Out.Deps.empty()) << Label;
 }
 
+/// The envelope's payload checksum: FNV-1a 64 over the payload's canonical
+/// text, as 16 lowercase hex digits.
+std::string payloadChecksum(const json::Value &Payload) {
+  uint64_t H = 1469598103934665603ull;
+  for (char C : Payload.str()) {
+    H ^= static_cast<unsigned char>(C);
+    H *= 1099511628211ull;
+  }
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  return Buf;
+}
+
 } // namespace
 
 TEST(ArtifactRejection, CorruptTruncatedSkewedBlobs) {
@@ -382,6 +396,23 @@ TEST(ArtifactRejection, CorruptTruncatedSkewedBlobs) {
     ASSERT_NE(Pos, std::string::npos);
     Wrong.replace(Pos, 3, "xds");
     expectRejected(Wrong, "not a compiled-kernel blob", "wrong magic");
+  }
+
+  // A removed schedule kind: a current-ABI blob naming "vector", resealed
+  // with a matching checksum so the payload decoder itself must reject it.
+  {
+    json::ParseResult P = json::parse(Blob);
+    ASSERT_TRUE(P.Ok) << P.Error;
+    json::Object Root = P.Val.asObject();
+    json::Object Payload = Root.at("payload").asObject();
+    json::Object Sched = Payload.at("schedule").asObject();
+    Sched.insert_or_assign("kind", json::Value(std::string("vector")));
+    Payload.insert_or_assign("schedule", json::Value(std::move(Sched)));
+    json::Value Sealed(std::move(Payload));
+    Root.insert_or_assign("checksum", json::Value(payloadChecksum(Sealed)));
+    Root.insert_or_assign("payload", std::move(Sealed));
+    expectRejected(json::Value(std::move(Root)).str(), "schedule.kind",
+                   "removed vector kind");
   }
 }
 

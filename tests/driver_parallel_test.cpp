@@ -181,8 +181,7 @@ TEST(ParallelDeterminism, EveryScheduleKindCertifiesOnEveryKernel) {
   };
   const rt::ScheduleKind Kinds[] = {
       rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
-      rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P,
-      rt::ScheduleKind::Vector};
+      rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P};
   for (const Entry &E : Suite) {
     SuiteCase C = wire(E.Key, E.K, E.Opts, E.N, 47);
     driver::InspectionResult Insp =

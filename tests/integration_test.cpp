@@ -74,6 +74,16 @@ const deps::PipelineResult &gsCSRAnalysis() {
   return R;
 }
 
+/// A 4-thread schedule of `Kind`; `MinWork` is the LBC window target.
+CompiledSchedule schedule4(const DependenceGraph &G, ScheduleKind Kind,
+                           double MinWork = 64) {
+  ScheduleConfig C;
+  C.Kind = Kind;
+  C.NumThreads = 4;
+  C.MinWorkPerThread = MinWork;
+  return buildSchedule(G, C);
+}
+
 } // namespace
 
 TEST(Integration, Figure1MatrixYieldsFigure2Waves) {
@@ -124,12 +134,12 @@ TEST(Integration, ForwardSolveCSREndToEnd) {
   driver::InspectionResult Insp =
       driver::runInspectors(fsCSRAnalysis(), Env, L.N);
 
-  WavefrontSchedule S = scheduleLevelSets(Insp.Graph, 4);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = schedule4(Insp.Graph, ScheduleKind::Levels);
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer, XPar;
   forwardSolveCSRSerial(L, B, XSer);
-  forwardSolveCSRWavefront(L, B, XPar, S);
+  forwardSolveCSRScheduled(L, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
 }
 
@@ -142,15 +152,12 @@ TEST(Integration, ForwardSolveCSCEndToEndWithLBC) {
   driver::InspectionResult Insp =
       driver::runInspectors(fsCSCAnalysis(), Env, L.N);
 
-  LBCConfig C;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 16;
-  WavefrontSchedule S = scheduleLBC(Insp.Graph, C);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = schedule4(Insp.Graph, ScheduleKind::LBC, 16);
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer, XPar;
   forwardSolveCSCSerial(L, B, XSer);
-  forwardSolveCSCWavefront(L, B, XPar, S);
+  forwardSolveCSCScheduled(L, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-9);
 }
 
@@ -163,12 +170,12 @@ TEST(Integration, GaussSeidelEndToEnd) {
       driver::runInspectors(gsCSRAnalysis(), Env, A.N);
   EXPECT_EQ(Insp.NumInspectors, 2u); // both read/write directions
 
-  WavefrontSchedule S = scheduleLevelSets(Insp.Graph, 4);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = schedule4(Insp.Graph, ScheduleKind::Levels);
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
   gaussSeidelCSRSerial(A, B, XSer);
-  gaussSeidelCSRWavefront(A, B, XPar, S);
+  gaussSeidelCSRScheduled(A, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
 }
 

@@ -152,9 +152,13 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsBitMatchSerial) {
 
   obs::MetricCounter &Par = obs::metricCounter("test.counter_parallel");
   obs::Histogram &HPar = obs::histogram("test.hist_parallel");
+#ifdef _OPENMP
 #pragma omp parallel num_threads(Threads)
+#endif
   {
+#ifdef _OPENMP
 #pragma omp for
+#endif
     for (int T = 0; T < Threads; ++T)
       for (int I = 0; I < PerThread; ++I) {
         Par.add(static_cast<uint64_t>(I % 7 + 1));

@@ -52,6 +52,16 @@ std::vector<double> multiplyCSR(const CSRMatrix &L,
   return Y;
 }
 
+/// A 4-thread schedule of `Kind`; `MinWork` is the LBC window target.
+CompiledSchedule schedule4(const DependenceGraph &G, ScheduleKind Kind,
+                           double MinWork = 64) {
+  ScheduleConfig C;
+  C.Kind = Kind;
+  C.NumThreads = 4;
+  C.MinWorkPerThread = MinWork;
+  return buildSchedule(G, C);
+}
+
 } // namespace
 
 TEST(ForwardSolve, CSRSolvesTriangularSystem) {
@@ -188,7 +198,7 @@ TEST(IncompleteLU, ReproducesLUOnNoFillPattern) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wavefront executors match serial results.
+// Scheduled (wavefront) executors match serial results.
 //===----------------------------------------------------------------------===//
 
 class WavefrontExec : public ::testing::TestWithParam<int> {};
@@ -201,17 +211,14 @@ TEST_P(WavefrontExec, ForwardSolveMatchesSerial) {
   forwardSolveCSRSerial(L, B, XSer);
 
   DependenceGraph G = exactForwardSolveGraph(LC);
-  WavefrontSchedule Plain = scheduleLevelSets(G, 4);
-  ASSERT_TRUE(Plain.respects(G));
-  forwardSolveCSRWavefront(L, B, XCSR, Plain);
+  CompiledSchedule Plain = schedule4(G, ScheduleKind::Levels);
+  ASSERT_TRUE(certifySchedule(G, Plain));
+  forwardSolveCSRScheduled(L, B, XCSR, Plain);
   EXPECT_LT(maxAbsDiff(XSer, XCSR), 1e-10);
 
-  LBCConfig C;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 8;
-  WavefrontSchedule Coarse = scheduleLBC(G, C);
-  ASSERT_TRUE(Coarse.respects(G));
-  forwardSolveCSCWavefront(LC, B, XCSC, Coarse);
+  CompiledSchedule Coarse = schedule4(G, ScheduleKind::LBC, 8);
+  ASSERT_TRUE(certifySchedule(G, Coarse));
+  forwardSolveCSCScheduled(LC, B, XCSC, Coarse);
   EXPECT_LT(maxAbsDiff(XSer, XCSC), 1e-9);
 }
 
@@ -233,9 +240,9 @@ TEST_P(WavefrontExec, GaussSeidelMatchesSerial) {
         G.addEdge(C, I);
     }
   G.finalize();
-  WavefrontSchedule S = scheduleLevelSets(G, 4);
-  ASSERT_TRUE(S.respects(G));
-  gaussSeidelCSRWavefront(A, B, XPar, S);
+  CompiledSchedule S = schedule4(G, ScheduleKind::Levels);
+  ASSERT_TRUE(certifySchedule(G, S));
+  gaussSeidelCSRScheduled(A, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
 }
 
@@ -245,16 +252,13 @@ TEST_P(WavefrontExec, IncompleteCholeskyMatchesSerial) {
   incompleteCholeskyCSCSerial(LSer);
 
   DependenceGraph G = exactCholeskyGraph(LPar);
-  WavefrontSchedule S = scheduleLevelSets(G, 4);
-  ASSERT_TRUE(S.respects(G));
-  incompleteCholeskyCSCWavefront(LPar, S);
+  CompiledSchedule S = schedule4(G, ScheduleKind::Levels);
+  ASSERT_TRUE(certifySchedule(G, S));
+  incompleteCholeskyCSCScheduled(LPar, S);
   EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9);
 
-  LBCConfig C;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 4;
-  WavefrontSchedule Coarse = scheduleLBC(G, C);
-  incompleteCholeskyCSCWavefront(LLbc, Coarse);
+  CompiledSchedule Coarse = schedule4(G, ScheduleKind::LBC, 4);
+  incompleteCholeskyCSCScheduled(LLbc, Coarse);
   EXPECT_LT(maxAbsDiff(LSer.Val, LLbc.Val), 1e-9);
 }
 
@@ -263,8 +267,8 @@ TEST_P(WavefrontExec, LeftCholeskyMatchesSerial) {
   CSCMatrix LSer = toCSC(LP), LPar = toCSC(LP);
   leftCholeskyCSCSerial(LSer);
   DependenceGraph G = exactCholeskyGraph(LPar);
-  WavefrontSchedule S = scheduleLevelSets(G, 4);
-  leftCholeskyCSCWavefront(LPar, S);
+  CompiledSchedule S = schedule4(G, ScheduleKind::Levels);
+  leftCholeskyCSCScheduled(LPar, S);
   EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9);
 }
 

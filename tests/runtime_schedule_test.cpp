@@ -4,10 +4,9 @@
 //
 // Covers the pass framework of DESIGN.md §14: every schedule kind
 // certifies on arbitrary DAGs at every thread count, the coalescer only
-// removes waves, vector runs partition chunks into consecutive edge-free
-// blocks, the P2P lowering seeds exactly the graph's in-degrees, and the
-// compiled-schedule executors reproduce the serial kernels — bitwise for
-// the pull-based kernels, to 1e-9 for the atomic-update ones.
+// removes waves, the P2P lowering seeds exactly the graph's in-degrees,
+// and the compiled-schedule executors reproduce the serial kernels —
+// bitwise for the pull-based kernels, to 1e-9 for the atomic-update ones.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +25,7 @@ namespace {
 
 constexpr ScheduleKind kAllKinds[] = {ScheduleKind::Levels, ScheduleKind::LBC,
                                       ScheduleKind::Coalesced,
-                                      ScheduleKind::P2P, ScheduleKind::Vector};
+                                      ScheduleKind::P2P};
 
 DependenceGraph randomDAG(int N, int EdgesPerNode, uint64_t Seed) {
   std::mt19937 Rng(static_cast<unsigned>(Seed));
@@ -115,6 +114,7 @@ TEST(ScheduleConfig, KindNamesRoundTrip) {
   }
   EXPECT_FALSE(parseScheduleKind("nonsense").has_value());
   EXPECT_FALSE(parseScheduleKind("").has_value());
+  EXPECT_EQ(parseScheduleKind("vector"), std::nullopt); // removed kind
 }
 
 TEST(ScheduleConfig, KeySeparatesKindsAndKnobs) {
@@ -128,9 +128,9 @@ TEST(ScheduleConfig, KeySeparatesKindsAndKnobs) {
   // never serve an 8-thread executor.
   EXPECT_NE(config(ScheduleKind::P2P, 4).key(),
             config(ScheduleKind::P2P, 8).key());
-  ScheduleConfig A = config(ScheduleKind::Vector, 8);
+  ScheduleConfig A = config(ScheduleKind::Coalesced, 8);
   ScheduleConfig B = A;
-  B.MinVectorRun = 16;
+  B.CoalesceFactor = 4.0;
   EXPECT_NE(A.key(), B.key());
 }
 
@@ -153,7 +153,6 @@ TEST_P(ScheduleRandom, EveryKindCertifies) {
                 static_cast<uint64_t>(G.numNodes()))
           << Label;
       EXPECT_EQ(S.UsesP2P, Kind == ScheduleKind::P2P) << Label;
-      EXPECT_EQ(S.HasRuns, Kind == ScheduleKind::Vector) << Label;
     }
 }
 
@@ -199,59 +198,6 @@ TEST(SchedulePasses, CoalesceKeepsDominantComponentsBounded) {
 }
 
 //===----------------------------------------------------------------------===//
-// Vector runs
-//===----------------------------------------------------------------------===//
-
-TEST(VectorRuns, FullCoverageOnIndependentNodes) {
-  DependenceGraph G(256);
-  G.finalize(); // no edges: one wave, all runs maximal
-  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::Vector, 1));
-  ASSERT_TRUE(certifySchedule(G, S));
-  EXPECT_DOUBLE_EQ(describeSchedule(S).vectorCoverage(), 1.0);
-}
-
-TEST(VectorRuns, ChainsAdmitNoRuns) {
-  // A full chain: consecutive ids always carry an edge, so no run may
-  // grow past length 1 and coverage is zero.
-  int N = 128;
-  DependenceGraph G(N);
-  for (int I = 0; I + 1 < N; ++I)
-    G.addEdge(I, I + 1);
-  G.finalize();
-  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::Vector, 1));
-  ASSERT_TRUE(certifySchedule(G, S));
-  CompiledScheduleStats St = describeSchedule(S);
-  EXPECT_EQ(St.VectorRuns, 0u);
-  EXPECT_DOUBLE_EQ(St.vectorCoverage(), 0.0);
-}
-
-TEST(VectorRuns, RunsPartitionEveryChunk) {
-  DependenceGraph G = randomDAG(300, 2, 99);
-  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::Vector, 4));
-  ASSERT_TRUE(S.HasRuns);
-  ASSERT_EQ(S.Runs.size(), S.Waves.Waves.size());
-  for (size_t W = 0; W < S.Waves.Waves.size(); ++W) {
-    ASSERT_EQ(S.Runs[W].size(), S.Waves.Waves[W].size());
-    for (size_t T = 0; T < S.Waves.Waves[W].size(); ++T) {
-      const auto &Chunk = S.Waves.Waves[W][T];
-      size_t Covered = 0;
-      int NextPos = 0;
-      for (const VectorRun &R : S.Runs[W][T]) {
-        EXPECT_EQ(R.Pos, NextPos) << "runs leave a gap";
-        EXPECT_GE(R.Len, 1);
-        // Consecutive ids within the run.
-        for (int I = 1; I < R.Len; ++I)
-          EXPECT_EQ(Chunk[static_cast<size_t>(R.Pos + I)],
-                    Chunk[static_cast<size_t>(R.Pos + I - 1)] + 1);
-        NextPos = R.Pos + R.Len;
-        Covered += static_cast<size_t>(R.Len);
-      }
-      EXPECT_EQ(Covered, Chunk.size()) << "wave " << W << " chunk " << T;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // P2P lowering
 //===----------------------------------------------------------------------===//
 
@@ -259,7 +205,7 @@ TEST(P2PLowering, SeedsExactInDegreesAndSuccessors) {
   DependenceGraph G = randomDAG(200, 3, 7);
   CompiledSchedule S = buildSchedule(G, config(ScheduleKind::P2P, 4));
   ASSERT_TRUE(S.UsesP2P);
-  ASSERT_EQ(S.numNodes(), G.numNodes());
+  ASSERT_EQ(S.InDegree.size(), static_cast<size_t>(G.numNodes()));
   std::vector<int> Expect(static_cast<size_t>(G.numNodes()), 0);
   for (int U = 0; U < G.numNodes(); ++U)
     for (int V : G.successors(U))
@@ -285,16 +231,6 @@ TEST(Certify, DetectsCorruptedSchedules) {
   ASSERT_TRUE(certifySchedule(G, P));
   ++P.InDegree[0];
   EXPECT_FALSE(certifySchedule(G, P));
-
-  // Corrupt a vector run so it spans a dependence edge.
-  DependenceGraph Chain(8);
-  Chain.addEdge(2, 3);
-  Chain.finalize();
-  CompiledSchedule V = buildSchedule(Chain, config(ScheduleKind::Vector, 1));
-  ASSERT_TRUE(certifySchedule(Chain, V));
-  ASSERT_FALSE(V.Runs.empty());
-  V.Runs[0][0] = {{0, static_cast<int>(V.Waves.Waves[0][0].size())}};
-  EXPECT_FALSE(certifySchedule(Chain, V));
 
   // Reverse the waves: dependences now point backwards.
   CompiledSchedule W = buildSchedule(G, config(ScheduleKind::Coalesced, 2));
