@@ -88,9 +88,12 @@ struct MatrixPlan {
   explicit MatrixPlan(int N) : Inspection(N) {}
 };
 
-/// Deterministic fingerprint of a runtime binding: hashes every span's
-/// name, length, and contents plus every parameter, FNV-1a 64, in the
-/// maps' sorted order.
+/// Deterministic fingerprint of a runtime binding: every span's name,
+/// length, and every byte of its contents, plus every parameter, in the
+/// maps' sorted order. Names, lengths and parameters go through FNV-1a 64;
+/// span contents through xxHash64 (support/Hash.h), chained by seed. It is
+/// the matrix tier's identity, so nothing is sampled: a one-entry edit
+/// misses.
 /// Function-only bindings (no span) are hashed by name alone — binding
 /// arbitrary lambdas is a test-only affordance the cache cannot see
 /// through, so such environments should not be memoized across changes.
@@ -158,14 +161,21 @@ public:
   std::shared_ptr<const MatrixPlan>
   plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env, int N,
        bool Speculate = false);
+  /// plan() with the caller's fingerprintEnvironment(Env), so a request
+  /// that needs the fingerprint elsewhere too hashes `Env` once. `EnvFp`
+  /// must be exactly that value; it is the plan's cache identity.
+  std::shared_ptr<const MatrixPlan>
+  plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env, int N,
+       bool Speculate, uint64_t EnvFp);
 
   /// Matrix-tier probe: the cached plan, or nullptr without filling. A
   /// hit counts MatrixWarm and refreshes LRU recency exactly like plan();
   /// a miss counts nothing (the caller decides whether to fill).
-  /// `Speculate` selects the speculated plan key, as for plan().
-  std::shared_ptr<const MatrixPlan>
-  planIfCached(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
-               int N, bool Speculate = false);
+  /// `Speculate` selects the speculated plan key, as for plan(). The
+  /// environment enters only through `EnvFp`, its fingerprintEnvironment().
+  std::shared_ptr<const MatrixPlan> planIfCached(const kernels::Kernel &K,
+                                                 int N, bool Speculate,
+                                                 uint64_t EnvFp);
 
   EngineStats stats() const;
   /// Drop both tiers (stats survive).

@@ -196,8 +196,10 @@ private:
   /// Kernel-tier resolution + plan build for a singleflight leader:
   /// engine cache -> persistent store -> budgeted cold compile (degrading
   /// to the baseline plan on budget exhaustion). Speculated requests
-  /// route through the engine's speculated tiers instead.
-  ServeResponse serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs);
+  /// route through the engine's speculated tiers instead. `EnvFp` is the
+  /// request's fingerprintEnvironment(R.Env), computed once in handle().
+  ServeResponse serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs,
+                          uint64_t EnvFp);
 
   /// The store-lookup + budgeted-compile miss path (the body a kernel-
   /// level singleflight leader runs). On success `CK`/`FromStore` are

@@ -19,6 +19,7 @@
 #include "sds/ir/Properties.h"
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
+#include "sds/support/Hash.h"
 #include "sds/support/JSON.h"
 
 #include <cstdio>
@@ -41,11 +42,7 @@ constexpr const char *kMagic = "sds.compiled_kernel";
 
 /// FNV-1a 64-bit over a byte string, rendered as 16 lowercase hex digits.
 std::string fnv1aHex(std::string_view S) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : S) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
+  uint64_t H = support::fnv1a64(S);
   char Buf[17];
   static const char *Hex = "0123456789abcdef";
   for (int I = 15; I >= 0; --I) {

@@ -12,6 +12,7 @@
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
 #include "sds/presburger/Budget.h"
+#include "sds/support/Hash.h"
 #include "sds/support/JSON.h"
 #include "sds/support/OMP.h"
 #include "sds/support/Schema.h"
@@ -186,14 +187,10 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
 /// hashes prove nothing (collisions just lose the skip); unequal hashes
 /// soundly prune.
 uint64_t subsumptionSignature(const ir::SparseRelation &R) {
-  uint64_t H = 1469598103934665603ull;
+  uint64_t H = support::kFnv1aOffset;
   auto Mix = [&H](const std::string &S) {
-    for (char C : S) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-    H ^= 0xffu; // separator so {"ab"} and {"a","b"} differ
-    H *= 1099511628211ull;
+    // 0xff separator so {"ab"} and {"a","b"} differ.
+    H = support::fnv1a64("\xff", support::fnv1a64(S, H));
   };
   for (const std::string &V : R.InVars)
     Mix(V);

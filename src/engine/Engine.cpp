@@ -10,6 +10,7 @@
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
+#include "sds/support/Hash.h"
 
 #include <cstdio>
 #include <list>
@@ -21,20 +22,15 @@ namespace engine {
 
 namespace {
 
-inline void fnvBytes(uint64_t &H, const void *Data, size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-}
-
+/// FNV-1a over a short field; the terminator makes "ab","c" != "a","bc".
 inline void fnvStr(uint64_t &H, const std::string &S) {
-  fnvBytes(H, S.data(), S.size());
-  fnvBytes(H, "\0", 1); // terminator so "ab","c" != "a","bc"
+  H = support::fnv1a64(std::string_view(S.data(), S.size() + 1), H);
 }
 
-inline void fnvInt(uint64_t &H, int64_t V) { fnvBytes(H, &V, sizeof(V)); }
+inline void fnvInt(uint64_t &H, int64_t V) {
+  H = support::fnv1a64(
+      std::string_view(reinterpret_cast<const char *>(&V), sizeof(V)), H);
+}
 
 std::string fpHex(uint64_t Fp) {
   char Buf[17];
@@ -46,12 +42,12 @@ std::string fpHex(uint64_t Fp) {
 } // namespace
 
 uint64_t fingerprintEnvironment(const codegen::UFEnvironment &Env) {
-  uint64_t H = 1469598103934665603ull;
+  uint64_t H = support::kFnv1aOffset;
   for (const auto &[Name, Span] : Env.Spans) {
     fnvStr(H, Name);
     fnvInt(H, static_cast<int64_t>(Span->size()));
-    if (!Span->empty())
-      fnvBytes(H, Span->data(), Span->size() * sizeof((*Span)[0]));
+    // The bulk of the work: every byte of the index array, striped.
+    H = support::xxh64(Span->data(), Span->size() * sizeof((*Span)[0]), H);
   }
   for (const auto &[Name, Fn] : Env.Arrays) {
     (void)Fn;
@@ -303,6 +299,12 @@ support::Status Engine::saveArtifact(const kernels::Kernel &K,
 std::shared_ptr<const MatrixPlan>
 Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
              int N, bool Speculate) {
+  return plan(K, Env, N, Speculate, fingerprintEnvironment(Env));
+}
+
+std::shared_ptr<const MatrixPlan>
+Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
+             int N, bool Speculate, uint64_t EnvFp) {
   static obs::Counter &Warm = obs::counter("engine.matrix_warm");
   static obs::Counter &Cold = obs::counter("engine.matrix_cold");
   static obs::Histogram &HitNs = obs::histogram("engine.plan.hit_ns");
@@ -318,8 +320,8 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
   // only when bound; hash it explicitly so truncated runs never alias.
   // The schedule config key makes schedules a plan dimension: the same
   // matrix under a different kind/knob set is a different plan.
-  Impl::MatrixKey Key{I->matrixPrefix(K.Name, Spec),
-                      fingerprintEnvironment(Env), static_cast<int64_t>(N)};
+  Impl::MatrixKey Key{I->matrixPrefix(K.Name, Spec), EnvFp,
+                      static_cast<int64_t>(N)};
   {
     uint64_t T0 = obs::metricsEnabled() ? obs::nowNs() : 0;
     std::lock_guard<std::mutex> Lock(I->Mu);
@@ -356,13 +358,12 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
 }
 
 std::shared_ptr<const MatrixPlan>
-Engine::planIfCached(const kernels::Kernel &K,
-                     const codegen::UFEnvironment &Env, int N,
-                     bool Speculate) {
+Engine::planIfCached(const kernels::Kernel &K, int N, bool Speculate,
+                     uint64_t EnvFp) {
   static obs::Counter &Warm = obs::counter("engine.matrix_warm");
   bool Spec = Speculate || I->Opts.Analysis.Speculate;
-  Impl::MatrixKey Key{I->matrixPrefix(K.Name, Spec),
-                      fingerprintEnvironment(Env), static_cast<int64_t>(N)};
+  Impl::MatrixKey Key{I->matrixPrefix(K.Name, Spec), EnvFp,
+                      static_cast<int64_t>(N)};
   std::lock_guard<std::mutex> Lock(I->Mu);
   auto It = I->Plans.find(Key);
   if (It == I->Plans.end())

@@ -9,6 +9,7 @@
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
+#include "sds/support/Hash.h"
 
 #include <algorithm>
 #include <chrono>
@@ -285,15 +286,9 @@ uint64_t InferenceResult::fingerprint() const {
   if (Labels.empty())
     return 0;
   std::sort(Labels.begin(), Labels.end());
-  uint64_t H = 1469598103934665603ull; // FNV-1a64
-  for (const std::string &L : Labels) {
-    for (char C : L) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-    H ^= '\n';
-    H *= 1099511628211ull;
-  }
+  uint64_t H = support::kFnv1aOffset;
+  for (const std::string &L : Labels)
+    H = support::fnv1a64("\n", support::fnv1a64(L, H));
   return H;
 }
 

@@ -104,14 +104,13 @@ struct Server::Impl {
   /// The matrix-plan identity a request resolves to — also the
   /// singleflight key, so identical cold work coalesces. Speculation is a
   /// key dimension: a speculated request never coalesces onto (or aliases)
-  /// a declared-only plan.
-  std::string planKey(const ServeRequest &R) const {
+  /// a declared-only plan. `EnvFp` is fingerprintEnvironment(R.Env).
+  std::string planKey(const ServeRequest &R, uint64_t EnvFp) const {
     artifact::AnalysisOptions AO =
         artifact::AnalysisOptions::of(Opts.Engine.Analysis);
     AO.Speculate = AO.Speculate || R.Speculate;
     return R.Kernel.Name + "|" + AO.key() + "|" + Opts.Engine.Schedule.key() +
-           "|" + std::to_string(engine::fingerprintEnvironment(R.Env)) + "|" +
-           std::to_string(R.N);
+           "|" + std::to_string(EnvFp) + "|" + std::to_string(R.N);
   }
 
   static ServeResponse shed(Outcome O, std::string Why) {
@@ -315,9 +314,13 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
     return Resp;
   };
 
+  // The environment fingerprint is the dominant cost of a warm hit: hash
+  // once and key the plan probe, singleflight and cold fill off it.
+  uint64_t EnvFp = engine::fingerprintEnvironment(R.Env);
+
   // Plan tier: the common case for steady traffic is a pure memory hit.
   if (std::shared_ptr<const engine::MatrixPlan> P =
-          I->Engine.planIfCached(R.Kernel, R.Env, R.N, R.Speculate)) {
+          I->Engine.planIfCached(R.Kernel, R.N, R.Speculate, EnvFp)) {
     WarmC.add();
     I->bump(&ServerStats::Warm);
     ServeResponse Resp;
@@ -328,7 +331,7 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
 
   // Singleflight: one leader per plan key; followers wait (bounded by
   // their own deadline) and share the leader's result.
-  std::string Key = I->planKey(R);
+  std::string Key = I->planKey(R, EnvFp);
   std::shared_ptr<Inflight> Entry;
   bool Leader = false;
   {
@@ -368,7 +371,7 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
     return Finish(std::move(Resp));
   }
 
-  ServeResponse Resp = serveCold(R, AbsDeadlineNs);
+  ServeResponse Resp = serveCold(R, AbsDeadlineNs, EnvFp);
   switch (Resp.O) {
   case Outcome::Cold:
     ColdC.add();
@@ -398,15 +401,16 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
   return Finish(std::move(Resp));
 }
 
-ServeResponse Server::serveCold(const ServeRequest &R,
-                                uint64_t AbsDeadlineNs) {
+ServeResponse Server::serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs,
+                                uint64_t EnvFp) {
   if (I->speculates(R)) {
     // Speculative serving: the engine's speculated tiers own the kernel
     // fill (profiler + compile, keyed by the inference fingerprint). The
     // persistent store and budget degradation do not apply here — a
     // speculated artifact is environment-dependent and is not persisted.
     ServeResponse Resp;
-    Resp.Plan = I->Engine.plan(R.Kernel, R.Env, R.N, /*Speculate=*/true);
+    Resp.Plan =
+        I->Engine.plan(R.Kernel, R.Env, R.N, /*Speculate=*/true, EnvFp);
     Resp.O = Outcome::Cold;
     return Resp;
   }
@@ -486,7 +490,8 @@ ServeResponse Server::serveCold(const ServeRequest &R,
   // Plan tier cold fill (inspectors + schedule) through the engine, so
   // the plan is cached for the steady-state warm path.
   ServeResponse Resp;
-  Resp.Plan = I->Engine.plan(R.Kernel, R.Env, R.N);
+  Resp.Plan =
+      I->Engine.plan(R.Kernel, R.Env, R.N, /*Speculate=*/false, EnvFp);
   Resp.O = FromStore ? Outcome::StoreWarm : Outcome::Cold;
   return Resp;
 }

@@ -9,6 +9,7 @@
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
+#include "sds/support/Hash.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -27,15 +28,6 @@ namespace sds {
 namespace store {
 
 namespace {
-
-uint64_t fnv1a64(std::string_view S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 std::string hex16(uint64_t H) {
   char Buf[17];
@@ -266,7 +258,8 @@ std::string Store::blobPath(const std::string &Key) const {
   std::string Name;
   size_t Bar = Key.find('|');
   Name = sanitize(Bar == std::string::npos ? Key : Key.substr(0, Bar));
-  return (I->Root / (Name + "-" + hex16(fnv1a64(Key)) + ".json")).string();
+  return (I->Root / (Name + "-" + hex16(support::fnv1a64(Key)) + ".json"))
+      .string();
 }
 
 support::Status Store::put(const artifact::CompiledKernel &CK) {

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 using namespace sds;
 using namespace sds::rt;
@@ -123,6 +125,71 @@ TEST(EngineFingerprint, DistinguishesContentsNotIdentity) {
   codegen::UFEnvironment Env = driver::bindCSC(L);
   Env.Params["n"] += 1;
   EXPECT_NE(F1, engine::fingerprintEnvironment(Env));
+}
+
+namespace {
+
+/// One span "a" holding `V`, next to a fixed second span and a parameter
+/// so the sweep hashes realistic multi-field environments.
+uint64_t fpOf(const std::vector<int> &V) {
+  codegen::UFEnvironment Env;
+  Env.bindArray("a", V);
+  Env.bindArray("z", {5, 6, 7});
+  Env.Params["n"] = 9;
+  return engine::fingerprintEnvironment(Env);
+}
+
+std::vector<int> distinctValues(size_t Len) {
+  std::vector<int> V(Len);
+  for (size_t I = 0; I < Len; ++I)
+    V[I] = static_cast<int>(I * 7 + 3);
+  return V;
+}
+
+} // namespace
+
+// Lengths 0..70 ints cover every tail length on both sides of the hash's
+// 32-byte stripe, several stripes deep.
+TEST(EngineFingerprint, EverySingleElementFlipMisses) {
+  for (size_t Len = 0; Len <= 70; ++Len) {
+    const std::vector<int> Base = distinctValues(Len);
+    const uint64_t F = fpOf(Base);
+    for (size_t P = 0; P < Len; ++P)
+      for (unsigned Bit : {0u, 15u, 31u}) {
+        std::vector<int> V = Base;
+        V[P] = static_cast<int>(static_cast<unsigned>(V[P]) ^ (1u << Bit));
+        EXPECT_NE(F, fpOf(V)) << "len " << Len << " pos " << P << " bit "
+                              << Bit;
+      }
+  }
+}
+
+TEST(EngineFingerprint, SwappingUnequalElementsMisses) {
+  for (size_t Len = 2; Len <= 70; ++Len) {
+    const std::vector<int> Base = distinctValues(Len);
+    const uint64_t F = fpOf(Base);
+    for (size_t I = 0; I < Len; ++I)
+      for (size_t J = I + 1; J < Len; ++J) {
+        std::vector<int> V = Base;
+        std::swap(V[I], V[J]);
+        EXPECT_NE(F, fpOf(V)) << "len " << Len << " swap " << I << "," << J;
+      }
+  }
+}
+
+TEST(EngineFingerprint, MovingAnElementAcrossSpansMisses) {
+  auto Split = [](const std::vector<int> &V, size_t K) {
+    codegen::UFEnvironment Env;
+    Env.bindArray("a", std::vector<int>(V.begin(), V.begin() + K));
+    Env.bindArray("b", std::vector<int>(V.begin() + K, V.end()));
+    return engine::fingerprintEnvironment(Env);
+  };
+  EXPECT_NE(Split({1, 2, 3}, 2), Split({1, 2, 3}, 1)); // {1,2},{3} vs {1},{2,3}
+  for (size_t Len = 1; Len <= 70; ++Len) {
+    const std::vector<int> V = distinctValues(Len);
+    for (size_t K = 0; K < Len; ++K)
+      EXPECT_NE(Split(V, K), Split(V, K + 1)) << "len " << Len << " cut " << K;
+  }
 }
 
 TEST(EngineArtifacts, LoadWarmStartsTheKernelTier) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <span>
@@ -80,6 +81,89 @@ TEST(ServePolicy, ColdThenWarmSharesThePlan) {
   EXPECT_EQ(St.Cold, 1u);
   EXPECT_EQ(St.Warm, 1u);
   EXPECT_EQ(St.Errors, 0u);
+}
+
+namespace {
+
+/// A one-entry edit that keeps the factor lower triangular with sorted
+/// columns: the last entry of the first column that has an off-diagonal
+/// entry above row N-1 moves to row N-1.
+codegen::UFEnvironment editOneEntry(const codegen::UFEnvironment &Env) {
+  const std::vector<int> &ColPtr = *Env.Spans.at("colptr");
+  std::vector<int> RowIdx = *Env.Spans.at("rowidx");
+  int N = static_cast<int>(ColPtr.size()) - 1;
+  for (int C = 0; C < N; ++C) {
+    int Last = ColPtr[C + 1] - 1;
+    if (Last > ColPtr[C] && RowIdx[Last] < N - 1) {
+      RowIdx[Last] = N - 1;
+      codegen::UFEnvironment Out = Env;
+      Out.bindArray("rowidx", std::move(RowIdx));
+      return Out;
+    }
+  }
+  ADD_FAILURE() << "no editable entry";
+  return Env;
+}
+
+} // namespace
+
+TEST(ServePolicy, OneFingerprintPerRequestKeysEveryPath) {
+  serve::ServerOptions SO;
+  SO.NumWorkers = 1;
+  serve::Server S(SO);
+
+  // Cold, coalesced and warm requests for one key share one plan object.
+  // Whether a herd member coalesces or hits warm depends on timing, so
+  // fresh keys are tried until one herd produced a coalesced response.
+  serve::ServeRequest R;
+  std::shared_ptr<const engine::MatrixPlan> Plan;
+  bool SawCoalesced = false;
+  for (uint64_t Seed = 30; Seed < 36 && !SawCoalesced; ++Seed) {
+    R = fsCscRequest(140, Seed);
+    std::vector<serve::ServeResponse> Resps(4);
+    std::atomic<bool> Go{false};
+    std::vector<std::thread> Herd;
+    for (serve::ServeResponse &Out : Resps)
+      Herd.emplace_back([&] {
+        while (!Go.load())
+          std::this_thread::yield();
+        Out = S.handle(R);
+      });
+    Go.store(true);
+    for (std::thread &T : Herd)
+      T.join();
+    unsigned Cold = 0;
+    for (const serve::ServeResponse &Resp : Resps) {
+      ASSERT_TRUE(Resp.St.ok()) << Resp.St.str();
+      ASSERT_NE(Resp.Plan, nullptr);
+      EXPECT_EQ(Resp.Plan.get(), Resps[0].Plan.get());
+      Cold += Resp.O == serve::Outcome::Cold;
+      SawCoalesced |= Resp.O == serve::Outcome::Coalesced;
+    }
+    EXPECT_EQ(Cold, 1u);
+    Plan = Resps[0].Plan;
+  }
+  EXPECT_TRUE(SawCoalesced);
+  serve::ServeResponse Warm = S.handle(R);
+  EXPECT_EQ(Warm.O, serve::Outcome::Warm);
+  EXPECT_EQ(Warm.Plan.get(), Plan.get());
+
+  // The engine's fingerprint overload resolves to the same cached plan.
+  engine::Engine &E = S.engine();
+  EXPECT_EQ(E.plan(R.Kernel, R.Env, R.N).get(), Plan.get());
+  EXPECT_EQ(E.plan(R.Kernel, R.Env, R.N, /*Speculate=*/false,
+                   engine::fingerprintEnvironment(R.Env))
+                .get(),
+            Plan.get());
+
+  // A one-entry edit to the environment misses.
+  serve::ServeRequest Edited = R;
+  Edited.Env = editOneEntry(R.Env);
+  serve::ServeResponse Miss = S.handle(Edited);
+  ASSERT_TRUE(Miss.St.ok()) << Miss.St.str();
+  EXPECT_EQ(Miss.O, serve::Outcome::Cold);
+  ASSERT_NE(Miss.Plan, nullptr);
+  EXPECT_NE(Miss.Plan.get(), Plan.get());
 }
 
 TEST(ServeAdmission, ShedsPastQueueBoundNothingLost) {
