@@ -13,8 +13,6 @@
 //   SDS_HEAVY    set to 0 to skip the minutes-long analyses (IC0, ILU0)
 //   SDS_TRACE    path: enable obs tracing and write a Chrome trace-event
 //                JSON of the whole bench run there at exit
-//   SDS_STATS    path (or "-" for stdout): enable obs and write the
-//                aggregate span/counter stats JSON there at exit
 //   SDS_METRICS  path (or "-" for stdout): enable the metrics registry and
 //                write its snapshot there at exit (a .prom suffix selects
 //                Prometheus text exposition, anything else JSON)
@@ -84,7 +82,7 @@ inline int parseThreads(int argc, char **argv) {
 /// ran before it; ObsSession calls it once at startup.
 inline void resetMeasurementState() {
   sds::presburger::clearQueryCache();
-  sds::obs::resetMetrics(); // also clears trace events + span counters
+  sds::obs::resetMetrics(); // also clears trace events + every counter
 }
 
 /// Machine-readable per-bench metrics: accumulates flat key -> number (or
@@ -140,11 +138,10 @@ private:
   std::vector<std::pair<std::string, std::string>> Fields;
 };
 
-/// Observability hook driven by SDS_TRACE / SDS_STATS: construct one at
-/// the top of main(); if either env var is set, tracing is switched on for
-/// the run and the requested artifacts are written when the bench exits.
-/// With neither var set this is free (tracing stays disabled, every
-/// instrumented call is a single predictable branch).
+/// Observability hook driven by SDS_TRACE / SDS_METRICS: construct one at
+/// the top of main(); each set env var switches on its recorder (spans,
+/// or gauges and histograms) for the run, and its artifact is written
+/// when the bench exits. Counters count either way.
 class ObsSession {
 public:
   ObsSession() {
@@ -154,12 +151,10 @@ public:
     // regardless of what (or in which order) a wrapper script ran before.
     resetMeasurementState();
     const char *T = std::getenv("SDS_TRACE");
-    const char *S = std::getenv("SDS_STATS");
     const char *M = std::getenv("SDS_METRICS");
     TracePath = T ? T : "";
-    StatsPath = S ? S : "";
     MetricsPath = M ? M : "";
-    if (!TracePath.empty() || !StatsPath.empty())
+    if (!TracePath.empty())
       sds::obs::setEnabled(true);
     if (!MetricsPath.empty())
       sds::obs::setMetricsEnabled(true);
@@ -173,15 +168,6 @@ public:
         std::fprintf(stderr, "# cannot write metrics to %s\n",
                      MetricsPath.c_str());
     }
-    if (!StatsPath.empty()) {
-      if (StatsPath == "-") {
-        std::printf("%s\n", sds::obs::statsJSON().c_str());
-      } else {
-        std::ofstream Out(StatsPath);
-        Out << sds::obs::statsJSON() << "\n";
-        std::fprintf(stderr, "# stats written to %s\n", StatsPath.c_str());
-      }
-    }
     if (!TracePath.empty()) {
       if (sds::obs::writeChromeTrace(TracePath))
         std::fprintf(stderr, "# trace written to %s\n", TracePath.c_str());
@@ -194,7 +180,7 @@ public:
   ObsSession &operator=(const ObsSession &) = delete;
 
 private:
-  std::string TracePath, StatsPath, MetricsPath;
+  std::string TracePath, MetricsPath;
 };
 
 /// Wall-clock seconds of one call.

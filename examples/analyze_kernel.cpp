@@ -14,7 +14,7 @@
 //   analyze_kernel all                      # the whole suite (slow: IC0, ILU0)
 //   analyze_kernel --trace out.json fs_csr  # + end-to-end traced run; dump
 //                                           #   Chrome trace-event JSON
-//   analyze_kernel --stats fs_csr           # + aggregate span/counter report
+//   analyze_kernel --metrics=m.json fs_csr  # + counters/gauges/histograms
 //   analyze_kernel --n 500 --trace t.json gs_csr   # bigger traced matrix
 //   analyze_kernel --emit-artifact=fs.ck.json fs_csc   # compile once...
 //   analyze_kernel --load-artifact=fs.ck.json fs_csc   # ...run many: skip
@@ -23,7 +23,7 @@
 //   analyze_kernel --explain=all fs_csr     # print the unsat core behind
 //                                           #   each dependence's fate
 //
-// With --trace or --stats the tool also runs the full inspector-executor
+// With --trace or --metrics the tool also runs the full inspector-executor
 // flow on a generated SPD-like matrix (inspectors -> dependence graph ->
 // level-set schedule -> wavefront executor), so the trace covers every
 // pipeline stage, each inspector, and the parallel wave execution. Load
@@ -395,7 +395,6 @@ int main(int argc, char **argv) {
   std::string TracePath;
   std::string MetricsPath;
   bool Metrics = false;
-  bool Stats = false;
   int N = 200;
   int Threads = omp_get_max_threads();
   double BudgetMs = 0;
@@ -409,8 +408,6 @@ int main(int argc, char **argv) {
     std::string Arg = argv[I];
     if (Arg == "--trace" && I + 1 < argc) {
       TracePath = argv[++I];
-    } else if (Arg == "--stats") {
-      Stats = true;
     } else if (Arg == "--metrics") {
       Metrics = true;
       MetricsPath = "-";
@@ -473,7 +470,7 @@ int main(int argc, char **argv) {
   auto Kernels = kernelsByKey();
   if (Positional.empty()) {
     std::printf(
-        "usage: %s [--trace out.json] [--stats] [--metrics[=PATH]] "
+        "usage: %s [--trace out.json] [--metrics[=PATH]] "
         "[--n N] [--threads N] "
         "[--schedule=levels|lbc|coalesced|p2p] "
         "[--validate] [--guard=off|warn|fallback] [--budget-ms MS] "
@@ -499,12 +496,12 @@ int main(int argc, char **argv) {
   }
 
   // --validate and --guard need bound arrays, so they imply the runtime
-  // (traced) half; guard decisions then show up in --stats counters.
+  // (traced) half; guard decisions then show up in the guard.* counters.
   // --metrics implies it too: the wave/inspector/engine histograms only
   // fill when the inspector-executor half actually runs.
-  bool Traced = !TracePath.empty() || Stats || Metrics || GF.Validate ||
+  bool Traced = !TracePath.empty() || Metrics || GF.Validate ||
                 GF.Mode != guard::GuardMode::Off;
-  if (!TracePath.empty() || Stats)
+  if (!TracePath.empty())
     obs::setEnabled(true);
   if (Metrics)
     obs::setMetricsEnabled(true);
@@ -561,8 +558,6 @@ int main(int argc, char **argv) {
       return RC;
   }
 
-  if (Stats)
-    std::printf("%s\n", obs::statsJSON().c_str());
   if (Metrics) {
     if (!obs::writeMetrics(MetricsPath)) {
       std::fprintf(stderr, "cannot write metrics to '%s'\n",

@@ -19,10 +19,9 @@
 //                 parameter, so two binds of the same matrix hit the same
 //                 entry and a changed matrix can never alias a stale plan.
 //
-// Every hit and miss is visible twice: in the always-on EngineStats local
-// counters (tests assert on these) and through sds::obs counters
-// ("engine.kernel_warm/cold/loaded", "engine.matrix_warm/cold") when
-// tracing is enabled.
+// Every hit and miss is counted once, in the always-on EngineStats fields
+// (tests assert on these); the metrics snapshot shows each field as an
+// "engine.*" gauge summed over live engines.
 //
 // Thread safety: all public members are safe to call concurrently; lookups
 // take a mutex, cold fills run outside it and the first finisher wins
@@ -64,8 +63,8 @@ struct EngineOptions {
   size_t MaxMatrixPlans = 64;
 };
 
-/// Always-on hit/miss accounting (obs counters require tracing; these do
-/// not).
+/// Always-on hit/miss accounting for one engine. Each field is also a
+/// gauge source ("engine.kernel_warm", ...), summed over live engines.
 struct EngineStats {
   uint64_t KernelWarm = 0;   ///< compiled() served from cache
   uint64_t KernelCold = 0;   ///< compiled() ran the analysis pipeline

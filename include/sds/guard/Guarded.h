@@ -21,7 +21,8 @@
 // The contract: with guarding on, a corrupted matrix yields either a
 // detected violation or a schedule identical in safety to the baseline —
 // never a silently wrong parallel execution. Decisions are recorded in
-// sds::obs counters ("guard.*") so stats/trace exports show what happened.
+// sds::obs counters ("guard.*") so metrics/trace exports show what
+// happened.
 //
 //===----------------------------------------------------------------------===//
 

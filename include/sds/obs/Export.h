@@ -1,17 +1,15 @@
-//===- Export.h - Trace and stats exporters ---------------------*- C++ -*-===//
+//===- Export.h - Chrome trace exporter -------------------------*- C++ -*-===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// Turns the obs registry (Trace.h) into machine-readable artifacts:
-//
-//  * Chrome trace-event JSON — load the file in chrome://tracing or
-//    https://ui.perfetto.dev to see the pipeline stages, inspectors, and
-//    wavefront waves on a timeline. The document also carries a
-//    "counters" object and re-parses with sds::json (round-trip tested).
-//  * An aggregate stats report — per-span-name count/total/min/max
-//    milliseconds plus every counter, for benches and CI to diff.
+// Turns the span buffer (Trace.h) into Chrome trace-event JSON: load the
+// file in chrome://tracing or https://ui.perfetto.dev to see the pipeline
+// stages, inspectors, and wavefront waves on a timeline. The document
+// also carries a "counters" object and re-parses with sds::json
+// (round-trip tested). Counters, gauges and histograms in aggregate are
+// the metrics snapshot's job (Metrics.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,13 +34,6 @@ std::string chromeTraceJSON();
 
 /// Write chromeTraceJSON() to `Path`. Returns false on I/O failure.
 bool writeChromeTrace(const std::string &Path);
-
-/// Aggregate report: { "spans": {name: {count, total_ms, min_ms, max_ms}},
-/// "counters": {name: value}, "dropped_events": n }.
-json::Value statsReport();
-
-/// statsReport() serialized to text.
-std::string statsJSON();
 
 } // namespace obs
 } // namespace sds

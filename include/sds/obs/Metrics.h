@@ -7,22 +7,27 @@
 // The quantitative half of sds::obs (spans/events live in Trace.h): a
 // process-wide registry of
 //
-//  * MetricCounter — monotonic counts, sharded across cache lines so the
-//    OpenMP inspector fleet and the task-parallel pipeline never contend
-//    on one atomic,
 //  * Gauge — last-written level values (doubles), plus *gauge sources*:
-//    registered callbacks polled at snapshot time, which is how always-on
-//    structs like presburger::QueryCacheStats and engine::EngineStats
-//    surface live without a second bookkeeping path (multiple sources
-//    registered under one name sum, so N engines aggregate naturally),
-//  * Histogram — log-bucketed latency distributions (8 sub-buckets per
-//    power of two, <= 12.5% relative bucket width) exposing count / sum /
-//    min / max and interpolated p50 / p95 / p99.
+//    registered callbacks polled at snapshot time, which is how
+//    per-instance tallies (EngineStats, StoreStats, ServerStats) and
+//    levels such as the verdict cache's occupancy surface live without a
+//    second bookkeeping path (multiple sources registered under one name
+//    sum, so N engines aggregate naturally),
+//  * Histogram — log-bucketed distributions (8 sub-buckets per power of
+//    two, <= 12.5% relative bucket width) exposing count / sum / min /
+//    max and interpolated p50 / p95 / p99. The name carries the unit: a
+//    "*_ns" histogram holds nanoseconds and exports in milliseconds,
+//    any other exports the raw recorded values.
 //
-// Cost model mirrors Trace.h: everything is off until setMetricsEnabled
+// One tally, one place: a process-wide count is an obs::Counter
+// (Trace.h), always on; a per-instance count is a field of its owner's
+// Stats struct, surfaced here through one gauge source per field. The
+// snapshot exports both, so nothing is counted twice.
+//
+// Cost model: gauges and histograms are off until setMetricsEnabled
 // (driven by --metrics or SDS_METRICS), and every record path is one
-// relaxed load + early return when disabled. Handles are cached in
-// function-local statics:
+// relaxed load + early return when disabled. Counters ignore the flag.
+// Handles are cached in function-local statics:
 //
 //   static obs::Histogram &H = obs::histogram("engine.plan.hit_ns");
 //   obs::ScopedLatency T(H);      // records on scope exit, inert when off
@@ -43,6 +48,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,9 +59,6 @@ namespace obs {
 
 namespace detail {
 extern std::atomic<bool> MetricsEnabled;
-/// Small dense per-thread index used to pick a counter shard. Stable for
-/// the life of the thread; threads beyond the shard count wrap.
-unsigned metricShardIndex();
 } // namespace detail
 
 /// Is metrics recording globally on? One relaxed load.
@@ -63,51 +66,9 @@ inline bool metricsEnabled() {
   return detail::MetricsEnabled.load(std::memory_order_relaxed);
 }
 
-/// Turn metrics recording on/off. Enabling does not clear prior data;
-/// use resetMetrics().
+/// Turn gauge and histogram recording on/off. Enabling does not clear
+/// prior data; use resetMetrics(). Counters count either way.
 void setMetricsEnabled(bool On);
-
-//===----------------------------------------------------------------------===//
-// Counters
-//===----------------------------------------------------------------------===//
-
-/// A named monotonic counter, sharded so concurrent add() calls from an
-/// OpenMP team land on distinct cache lines. value() sums the shards
-/// (exact: adds are relaxed fetch_adds, never lost).
-class MetricCounter {
-public:
-  static constexpr unsigned kShards = 16;
-
-  explicit MetricCounter(std::string Name) : Name(std::move(Name)) {}
-  MetricCounter(const MetricCounter &) = delete;
-  MetricCounter &operator=(const MetricCounter &) = delete;
-
-  void add(uint64_t N = 1) {
-    if (metricsEnabled())
-      Shards[detail::metricShardIndex() & (kShards - 1)].V.fetch_add(
-          N, std::memory_order_relaxed);
-  }
-  uint64_t value() const {
-    uint64_t Sum = 0;
-    for (const Shard &S : Shards)
-      Sum += S.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
-  void reset() {
-    for (Shard &S : Shards)
-      S.V.store(0, std::memory_order_relaxed);
-  }
-  const std::string &name() const { return Name; }
-
-private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> V{0};
-  };
-  std::string Name;
-  Shard Shards[kShards];
-};
-
-MetricCounter &metricCounter(std::string_view Name);
 
 //===----------------------------------------------------------------------===//
 // Gauges
@@ -156,15 +117,44 @@ Gauge &gauge(std::string_view Name);
 uint64_t registerGaugeSource(std::string Name, std::function<double()> Fn);
 void unregisterGaugeSource(uint64_t Handle);
 
+/// The gauge sources of one object, unregistered together when it is
+/// destroyed. Declare it as the owner's last member so it goes first.
+class GaugeSources {
+public:
+  GaugeSources() = default;
+  ~GaugeSources();
+  GaugeSources(const GaugeSources &) = delete;
+  GaugeSources &operator=(const GaugeSources &) = delete;
+
+  void add(std::string Name, std::function<double()> Fn) {
+    Handles.push_back(registerGaugeSource(std::move(Name), std::move(Fn)));
+  }
+
+  /// One source per field of a per-instance Stats struct: `Read` returns
+  /// a consistent copy of the struct (typically under the owner's lock).
+  template <typename StatsT, typename ReadFn>
+  void addFields(
+      std::initializer_list<std::pair<const char *, uint64_t StatsT::*>>
+          Fields,
+      ReadFn Read) {
+    for (const auto &[Name, Field] : Fields)
+      add(Name, [Read, F = Field] { return static_cast<double>(Read().*F); });
+  }
+
+private:
+  std::vector<uint64_t> Handles;
+};
+
 //===----------------------------------------------------------------------===//
 // Histograms
 //===----------------------------------------------------------------------===//
 
-/// A log-bucketed distribution of nonnegative integer samples (latencies
-/// in nanoseconds by convention; any unit works — the snapshot converts
-/// to milliseconds assuming ns). Buckets: exact below 16, then 8
-/// log-linear sub-buckets per power of two up to 2^64, so every recorded
-/// value lands in a bucket at most 12.5% wide. record() is one relaxed
+/// A log-bucketed distribution of nonnegative integer samples. The name
+/// carries the unit: "*_ns" histograms hold nanoseconds and the snapshot
+/// converts them to milliseconds; any other unit (rows, bytes) exports
+/// as recorded. Buckets: exact below 16, then 8 log-linear sub-buckets
+/// per power of two up to 2^64, so every recorded value lands in a
+/// bucket at most 12.5% wide. record() is one relaxed
 /// fetch_add on the bucket plus relaxed min/max updates; no locks.
 class Histogram {
 public:
@@ -206,7 +196,7 @@ public:
   }
 
   uint64_t count() const;
-  /// Interpolated quantile in the recorded unit (ns). Q in [0,1].
+  /// Interpolated quantile in the recorded unit. Q in [0,1].
   /// Relative error bounded by the bucket width (<= 12.5%).
   double quantile(double Q) const;
   uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
@@ -265,14 +255,17 @@ private:
 // Snapshots and exporters
 //===----------------------------------------------------------------------===//
 
+/// One histogram's summary. A "*_ns" histogram's values are converted to
+/// milliseconds (InMs); any other histogram's are in its recorded unit.
 struct HistogramSnapshot {
   std::string Name;
+  bool InMs = false;
   uint64_t Count = 0;
-  double SumMs = 0, MinMs = 0, MaxMs = 0;
-  double P50Ms = 0, P95Ms = 0, P99Ms = 0;
+  double Sum = 0, Min = 0, Max = 0;
+  double P50 = 0, P95 = 0, P99 = 0;
 };
 
-/// A coherent copy of the whole registry: counters and gauges
+/// A coherent copy of the whole registry: every obs::Counter and gauge
 /// name-sorted, gauge sources polled and folded in, histograms with
 /// precomputed quantiles.
 struct MetricsSnapshot {
@@ -287,16 +280,18 @@ MetricsSnapshot snapshotMetrics();
 /// { schema_version, kind:"metrics_snapshot", counters, gauges,
 ///   histograms: {name: {count, sum_ms, min_ms, max_ms, p50_ms, p95_ms,
 ///   p99_ms}}, stage_seconds: {<schema::kStageKeys>: s} }
-/// stage_seconds is filled from the "pipeline.stage.<key>" histograms
-/// (zero when a stage never ran) so dashboards can index the Figure-3
-/// stages without existence checks.
+/// A histogram not named "*_ns" has the keys sum, min, max, p50, p95 and
+/// p99 instead, in its recorded unit. stage_seconds is filled from the
+/// "pipeline.stage.<key>_ns" histograms (zero when a stage never ran) so
+/// dashboards can index the Figure-3 stages without existence checks.
 json::Value metricsReport();
 std::string metricsJSON();
 
 /// Prometheus text exposition format. Names are sanitized
 /// (non-[a-zA-Z0-9_] -> '_', "sds_" prefix); histograms export as
-/// summaries (quantile labels), counters get a _total suffix; label
-/// values escape backslash, double-quote, and newline per the spec.
+/// summaries (quantile labels; "*_ns" ones in seconds, others in their
+/// recorded unit), counters get a _total suffix; label values escape
+/// backslash, double-quote, and newline per the spec.
 std::string prometheusText();
 
 /// Write the snapshot to Path ("-" -> stdout; ".prom" suffix ->
@@ -304,9 +299,9 @@ std::string prometheusText();
 bool writeMetrics(const std::string &Path);
 
 /// Zero every counter, gauge, and histogram and clear the flight
-/// recorder. Registered handles and gauge sources survive. Also clears
-/// the Trace.h event buffer and counters, so one call gives a bench
-/// configuration a clean measurement slate.
+/// recorder and the Trace.h event buffer, so one call gives a bench
+/// configuration a clean measurement slate. Registered handles and gauge
+/// sources survive.
 void resetMetrics();
 
 } // namespace obs

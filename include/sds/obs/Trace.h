@@ -6,21 +6,22 @@
 //
 // The measurement substrate behind the paper's evaluation (Figures 7-10):
 // scoped RAII timers ("spans") with key/value tags, process-wide monotonic
-// counters, and a bounded thread-safe event buffer. Everything funnels into
-// one global registry that the exporters (Export.h) turn into Chrome
-// trace-event JSON or an aggregate stats report.
+// counters, and a bounded thread-safe event buffer. Spans funnel into the
+// Chrome trace-event exporter (Export.h); counters are the one registry
+// of process-wide tallies, exported by the metrics snapshot (Metrics.h).
 //
-// Cost model: tracing is *off* by default. Every hot-path entry point
-// checks one relaxed atomic load and returns immediately when disabled, so
-// instrumented code (Simplex pivots, inspector loops, wavefront waves)
-// pays a branch and nothing else. Counter handles are meant to be cached
-// in function-local statics so the name lookup happens once:
+// Cost model: counters are always on, independent of tracing and of the
+// metrics flag. add() is one relaxed fetch_add on a per-thread shard, so
+// concurrent adds from an OpenMP team never share a cache line. Handles
+// are meant to be cached in function-local statics so the name lookup
+// happens once:
 //
 //   static obs::Counter &Pivots = obs::counter("simplex.pivots");
 //   Pivots.add();
 //
-// Spans nest naturally (Chrome's viewer stacks same-thread events by
-// time containment):
+// Spans are *off* by default: a span checks one relaxed atomic load and
+// is inert when tracing is disabled. They nest naturally (Chrome's viewer
+// stacks same-thread events by time containment):
 //
 //   obs::Span S("pipeline.equalities", "deps");
 //   S.tag("dep", D.label());
@@ -42,6 +43,9 @@ namespace obs {
 
 namespace detail {
 extern std::atomic<bool> Enabled;
+/// Small dense per-thread index used to pick a counter shard. Stable for
+/// the life of the thread; threads beyond the shard count wrap.
+unsigned counterShardIndex();
 } // namespace detail
 
 /// Is tracing globally on? One relaxed load — safe to call anywhere.
@@ -49,7 +53,8 @@ inline bool enabled() {
   return detail::Enabled.load(std::memory_order_relaxed);
 }
 
-/// Turn tracing on/off. Enabling does not clear prior data; use clear().
+/// Turn span recording on/off. Enabling does not clear prior data; use
+/// clear(). Counters count either way.
 void setEnabled(bool On);
 
 /// Drop all recorded events and zero every counter. Counter handles stay
@@ -65,25 +70,39 @@ uint64_t droppedEvents();
 // Counters
 //===----------------------------------------------------------------------===//
 
-/// A named monotonic counter. Thread-safe; add() is one relaxed
-/// fetch_add when tracing is enabled, one load when disabled.
+/// A named monotonic counter, always on and sharded across cache lines.
+/// add() is one relaxed fetch_add on this thread's shard; value() sums the
+/// shards (exact: relaxed fetch_adds are never lost).
 class Counter {
 public:
+  static constexpr unsigned kShards = 16;
+
   explicit Counter(std::string Name) : Name(std::move(Name)) {}
   Counter(const Counter &) = delete;
   Counter &operator=(const Counter &) = delete;
 
   void add(uint64_t N = 1) {
-    if (enabled())
-      V.fetch_add(N, std::memory_order_relaxed);
+    Shards[detail::counterShardIndex() & (kShards - 1)].V.fetch_add(
+        N, std::memory_order_relaxed);
   }
-  uint64_t value() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t Sum = 0;
+    for (const Shard &S : Shards)
+      Sum += S.V.load(std::memory_order_relaxed);
+    return Sum;
+  }
+  void reset() {
+    for (Shard &S : Shards)
+      S.V.store(0, std::memory_order_relaxed);
+  }
   const std::string &name() const { return Name; }
 
 private:
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> V{0};
+  };
   std::string Name;
-  std::atomic<uint64_t> V{0};
+  Shard Shards[kShards];
 };
 
 /// Look up (or create) the registry counter with this name. The returned

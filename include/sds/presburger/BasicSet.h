@@ -174,18 +174,18 @@ std::string formatConstraintRow(const std::vector<int64_t> &Row, bool IsEq,
 // conflict detection. `isSubsetOf` additionally tries a syntactic
 // row-containment proof. Each rung only ever strengthens "Unknown" into a
 // *proven* verdict, so the ladder cannot change any pipeline outcome —
-// only how fast (and how attributably) it is reached. Hits are recorded
-// both in always-on PrefilterStats and, when tracing is enabled, in the
-// `basicset.prefilter_*` obs counters so Fig. 7's "disproved by
-// properties" accounting can attribute which rung decided a verdict.
+// only how fast (and how attributably) it is reached. Hits are counted in
+// the always-on `basicset.prefilter_*` obs counters, read back through
+// PrefilterStats, so Fig. 7's "disproved by properties" accounting can
+// attribute which rung decided a verdict.
 
 /// Run only the emptiness prefilter ladder on `S`. `True` means proven
 /// empty over the integers; `Unknown` means the ladder could not decide.
 /// Never returns `False` (the ladder never finds satisfying points).
 Ternary prefilterEmptiness(const BasicSet &S);
 
-/// Always-on counters for the prefilter ladder (relaxed atomics; reset by
-/// clearQueryCache()).
+/// The prefilter ladder's tallies, read from the `basicset.prefilter_*`
+/// obs counters (reset by clearQueryCache()).
 struct PrefilterStats {
   uint64_t GcdRejects = 0;       ///< normalize() proved a row unsatisfiable
   uint64_t EqConflictRejects = 0;///< same-lhs equalities with different rhs
@@ -213,9 +213,11 @@ PrefilterStats prefilterStats();
 // is bounded and thread-safe: it is split into independently-locked
 // shards selected by the key's hash, so concurrent queries from the
 // task-parallel analysis pipeline do not serialize on one mutex, and the
-// hit/miss tallies are contention-free relaxed atomics.
+// hits and misses are counted by sharded obs counters.
 
-/// Counters for the process-wide presburger query cache.
+/// The process-wide presburger query cache: Hits, Misses and
+/// CoreSubsumptionHits read the `basicset.cache_hits`, `cache_misses` and
+/// `cache_core_subsume` obs counters; Entries and CoreEntries are levels.
 struct QueryCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -237,8 +239,9 @@ struct QueryCacheStats {
 
 QueryCacheStats queryCacheStats();
 
-/// Drop every cached verdict and reset the hit/miss and prefilter
-/// counters (bench and test isolation — every bench calls this at start
+/// Drop every cached verdict and zero exactly the counters behind
+/// QueryCacheStats, PrefilterStats and the Budget.h exhaustion counts
+/// (bench and test isolation — every bench calls this at start
 /// so BENCH_*.json cache figures are reproducible run-to-run; correctness
 /// never requires it).
 void clearQueryCache();

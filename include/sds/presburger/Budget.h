@@ -40,8 +40,8 @@ namespace presburger {
 void setPivotBudget(uint64_t MaxPivotsPerSolve);
 uint64_t pivotBudget();
 
-/// Process-wide count of solves that hit the pivot budget (always on,
-/// independent of obs tracing; reset by clearQueryCache()).
+/// Process-wide count of solves that hit the pivot budget: the
+/// "simplex.budget_exhausted" obs counter (reset by clearQueryCache()).
 uint64_t pivotBudgetExhaustions();
 void notePivotBudgetExhaustion(); // internal, called by Simplex
 
@@ -54,7 +54,8 @@ uint64_t currentDeadlineNs();
 bool deadlineExpired();
 
 /// Process-wide count of queries that answered Unknown because the
-/// deadline had passed (always on; reset by clearQueryCache()).
+/// deadline had passed: the "basicset.deadline_exhausted" obs counter
+/// (reset by clearQueryCache()).
 uint64_t deadlineExhaustions();
 void noteDeadlineExhaustion(); // internal, called by BasicSet
 

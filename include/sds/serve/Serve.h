@@ -37,8 +37,10 @@
 //    affine-unsat revoked, correct by construction — marked
 //    Outcome::Degraded. The request succeeds late rather than failing.
 //
-// Every outcome is visible twice: always-on ServerStats (tests assert
-// exact accounting) and "serve.*" metrics + flight events when enabled.
+// Every outcome is counted once, in the always-on ServerStats fields
+// (tests assert exact accounting); the metrics snapshot shows each field
+// as a "serve.*" gauge summed over live servers, beside the serve.*
+// latency histograms and flight events.
 //
 // Shutdown contract: the destructor stops admissions, fails every queued
 // request with an explicit shed Status (zero lost promises), and joins
@@ -129,8 +131,9 @@ struct ServeResponse {
   double ServiceMs = 0; ///< worker pickup -> response
 };
 
-/// Always-on accounting. Completed + Shed* sums to Submitted once the
-/// queue drains; nothing is ever lost.
+/// Always-on accounting for one server. Completed + Shed* sums to
+/// Submitted once the queue drains; nothing is ever lost. Each field is
+/// also a gauge source ("serve.submitted", ...), summed over live servers.
 struct ServerStats {
   uint64_t Submitted = 0;
   uint64_t Completed = 0; ///< responses with a plan (any non-shed outcome)

@@ -34,9 +34,10 @@
 //    automatically after put() when MaxBytes is set) evicts oldest-read
 //    blobs until the store fits the budget.
 //
-// Every decision is visible twice: in the always-on StoreStats counters
-// (tests assert on these) and through "store.*" obs metrics and flight
-// events when metrics are enabled.
+// Every decision is counted once, in the always-on StoreStats fields
+// (tests assert on these); the metrics snapshot shows each field as a
+// "store.*" gauge summed over live stores, and the flight recorder keeps
+// the rare events (quarantine, recovery, eviction).
 //
 // Thread safety: all public members are safe to call concurrently from one
 // process (a mutex serializes metadata updates); cross-process safety
@@ -75,7 +76,8 @@ struct StoreOptions {
   bool VerifyOnRecovery = false;
 };
 
-/// Always-on accounting (obs counters require metrics; these do not).
+/// Always-on accounting for one store. Each field is also a gauge source
+/// ("store.hit", "store.miss", ...), summed over live stores.
 struct StoreStats {
   uint64_t Hits = 0;             ///< get() decoded + verified a blob
   uint64_t Misses = 0;           ///< get() found no blob for the key

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // One source of truth for the machine-readable exports: the pipeline's
-// analysis report (PipelineResult::toJSON), the obs stats export, and the
-// serialized CompiledKernel artifact all stamp the same schema version and
-// spell per-stage timings with the same keys. Bump kVersion whenever a
+// analysis report (PipelineResult::toJSON), the obs metrics snapshot, and
+// the serialized CompiledKernel artifact all stamp the same schema version
+// and spell per-stage timings with the same keys. Bump kVersion whenever a
 // field is renamed, removed, or changes meaning; purely additive fields do
 // not require a bump (readers must ignore unknown keys).
 //
@@ -16,12 +16,17 @@
 //   2  this header introduced; stage_seconds keys frozen; CompiledKernel
 //      artifact format added
 //   3  obs v2: metrics_snapshot and flight_recorder documents added;
-//      statsJSON gains "gauges"; bench_summary / bench_baseline formats
-//      (bench_report, tools/bench_gate) stamp the same version.
+//      bench_summary / bench_baseline formats (bench_report,
+//      tools/bench_gate) stamp the same version.
 //      Still-v3 additive extension: each artifact dependence may carry a
 //      "core" object ({"assertions", "minimized", "farkas"}) — the unsat
 //      core justifying its verdict. Blobs without it load fine (the guard
 //      then falls back to full property validation).
+//      Still v3 (the version is shared with the artifact format, whose
+//      bytes are unchanged): the separate stats document is gone, and a
+//      metrics_snapshot histogram whose name does not end in "_ns"
+//      reports p50/p95/p99/sum/min/max in its recorded unit instead of
+//      mislabelled *_ms fields.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +38,8 @@
 namespace sds {
 namespace schema {
 
-/// Schema version shared by PipelineResult::toJSON, obs::statsJSON,
-/// obs::metricsJSON, the sds::artifact blob format, and the
+/// Schema version shared by PipelineResult::toJSON, obs::metricsJSON,
+/// the sds::artifact blob format, and the
 /// BENCH_summary.json / bench baseline documents.
 inline constexpr int64_t kVersion = 3;
 

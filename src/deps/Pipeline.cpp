@@ -47,7 +47,7 @@ public:
     // per-stage view (metricsReport's stage_seconds) and the stage
     // latency quantiles come for free.
     if (obs::metricsEnabled())
-      obs::histogram(std::string("pipeline.stage.") + Stage)
+      obs::histogram(std::string("pipeline.stage.") + Stage + "_ns")
           .record(static_cast<uint64_t>(S * 1e9));
   }
 

@@ -86,7 +86,6 @@ struct Engine::Impl {
   std::map<MatrixKey, PlanEntry> Plans;
   std::list<MatrixKey> Lru; ///< front = most recently used
   EngineStats Stats;
-  std::vector<uint64_t> GaugeHandles; ///< live EngineStats gauge sources
 
   /// Kernel-tier key. A speculated artifact is env-dependent, so its key
   /// carries the speculated options char and the inference fingerprint —
@@ -106,17 +105,11 @@ struct Engine::Impl {
            Opts.Schedule.key();
   }
 
-  uint64_t statField(uint64_t EngineStats::*F) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Stats.*F;
-  }
-
   /// Move a hit entry to the LRU front. Caller holds Mu.
   void touch(PlanEntry &E) { Lru.splice(Lru.begin(), Lru, E.LruIt); }
 
   /// Evict least-recently-used plans down to capacity. Caller holds Mu.
   void evictToCapacity() {
-    static obs::Counter &EvictedC = obs::counter("engine.plan_evicted");
     while (Plans.size() > Opts.MaxMatrixPlans && !Lru.empty()) {
       const MatrixKey &Victim = Lru.back();
       auto It = Plans.find(Victim);
@@ -133,9 +126,12 @@ struct Engine::Impl {
         Plans.erase(It);
       Lru.pop_back();
       ++Stats.MatrixEvicted;
-      EvictedC.add();
     }
   }
+
+  /// Last member, so its gauge sources unregister before the state they
+  /// read is destroyed.
+  obs::GaugeSources Gauges;
 };
 
 Engine::Engine(EngineOptions Opts) : I(std::make_unique<Impl>()) {
@@ -144,34 +140,27 @@ Engine::Engine(EngineOptions Opts) : I(std::make_unique<Impl>()) {
   deps::PipelineOptions SpecPO = I->Opts.Analysis;
   SpecPO.Speculate = true;
   I->SpecOptionsKey = artifact::AnalysisOptions::of(SpecPO).key();
-  // Surface this engine's always-on EngineStats as live gauges; same-name
-  // sources from multiple engines sum in the snapshot.
-  const std::pair<const char *, uint64_t EngineStats::*> Fields[] = {
-      {"engine.kernel_warm", &EngineStats::KernelWarm},
-      {"engine.kernel_cold", &EngineStats::KernelCold},
-      {"engine.kernel_loaded", &EngineStats::KernelLoaded},
-      {"engine.kernel_speculated", &EngineStats::KernelSpeculated},
-      {"engine.matrix_warm", &EngineStats::MatrixWarm},
-      {"engine.matrix_cold", &EngineStats::MatrixCold},
-      {"engine.matrix_evicted", &EngineStats::MatrixEvicted},
-  };
+  // Surface this engine's EngineStats as live gauges; same-name sources
+  // from multiple engines sum in the snapshot.
   Impl *Raw = I.get();
-  for (const auto &[Name, Field] : Fields)
-    I->GaugeHandles.push_back(obs::registerGaugeSource(
-        Name, [Raw, F = Field] {
-          return static_cast<double>(Raw->statField(F));
-        }));
+  I->Gauges.addFields<EngineStats>(
+      {{"engine.kernel_warm", &EngineStats::KernelWarm},
+       {"engine.kernel_cold", &EngineStats::KernelCold},
+       {"engine.kernel_loaded", &EngineStats::KernelLoaded},
+       {"engine.kernel_speculated", &EngineStats::KernelSpeculated},
+       {"engine.matrix_warm", &EngineStats::MatrixWarm},
+       {"engine.matrix_cold", &EngineStats::MatrixCold},
+       {"engine.matrix_evicted", &EngineStats::MatrixEvicted}},
+      [Raw] {
+        std::lock_guard<std::mutex> Lock(Raw->Mu);
+        return Raw->Stats;
+      });
 }
 
-Engine::~Engine() {
-  for (uint64_t H : I->GaugeHandles)
-    obs::unregisterGaugeSource(H);
-}
+Engine::~Engine() = default;
 
 std::shared_ptr<const artifact::CompiledKernel>
 Engine::compiled(const kernels::Kernel &K) {
-  static obs::Counter &Warm = obs::counter("engine.kernel_warm");
-  static obs::Counter &Cold = obs::counter("engine.kernel_cold");
   static obs::Histogram &HitNs = obs::histogram("engine.kernel.hit_ns");
   static obs::Histogram &FillNs = obs::histogram("engine.kernel.cold_fill_ns");
   std::string Key = I->kernelKey(K.Name);
@@ -181,7 +170,6 @@ Engine::compiled(const kernels::Kernel &K) {
     auto It = I->Kernels.find(Key);
     if (It != I->Kernels.end()) {
       ++I->Stats.KernelWarm;
-      Warm.add();
       if (T0)
         HitNs.record(obs::nowNs() - T0);
       return It->second;
@@ -199,7 +187,6 @@ Engine::compiled(const kernels::Kernel &K) {
   if (!Inserted)
     return It->second; // a racing fill beat us; use the shared entry
   ++I->Stats.KernelCold;
-  Cold.add();
   return CK;
 }
 
@@ -214,9 +201,6 @@ Engine::compiled(const kernels::Kernel &K,
 std::shared_ptr<const artifact::CompiledKernel>
 Engine::speculatedCompiled(const kernels::Kernel &K,
                            const codegen::UFEnvironment &Env) {
-  static obs::Counter &Warm = obs::counter("engine.kernel_warm");
-  static obs::Counter &Cold = obs::counter("engine.kernel_cold");
-  static obs::Counter &Spec = obs::counter("engine.kernel_speculated");
   static obs::Histogram &FillNs =
       obs::histogram("engine.kernel.speculate_fill_ns");
   // The profiler is O(n + nnz) — the same order as the environment
@@ -230,7 +214,6 @@ Engine::speculatedCompiled(const kernels::Kernel &K,
     auto It = I->Kernels.find(Key);
     if (It != I->Kernels.end()) {
       ++I->Stats.KernelWarm;
-      Warm.add();
       return It->second;
     }
   }
@@ -251,8 +234,6 @@ Engine::speculatedCompiled(const kernels::Kernel &K,
     return It->second; // a racing fill beat us; use the shared entry
   ++I->Stats.KernelCold;
   ++I->Stats.KernelSpeculated;
-  Cold.add();
-  Spec.add();
   return CK;
 }
 
@@ -273,7 +254,6 @@ support::Status Engine::loadArtifact(const std::string &Path) {
 }
 
 support::Status Engine::installArtifact(artifact::CompiledKernel CK) {
-  static obs::Counter &Loaded = obs::counter("engine.kernel_loaded");
   if (CK.KernelName.empty())
     return support::invalidArgument("artifact has no kernel name")
         .withContext("engine installArtifact");
@@ -287,7 +267,6 @@ support::Status Engine::installArtifact(artifact::CompiledKernel CK) {
   std::lock_guard<std::mutex> Lock(I->Mu);
   I->Kernels[Key] = std::move(Shared);
   ++I->Stats.KernelLoaded;
-  Loaded.add();
   return {};
 }
 
@@ -305,8 +284,6 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
 std::shared_ptr<const MatrixPlan>
 Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
              int N, bool Speculate, uint64_t EnvFp) {
-  static obs::Counter &Warm = obs::counter("engine.matrix_warm");
-  static obs::Counter &Cold = obs::counter("engine.matrix_cold");
   static obs::Histogram &HitNs = obs::histogram("engine.plan.hit_ns");
   static obs::Histogram &FillNs = obs::histogram("engine.plan.cold_fill_ns");
   // Under speculation this profiles Env and compiles (or reuses) the
@@ -328,7 +305,6 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
     auto It = I->Plans.find(Key);
     if (It != I->Plans.end()) {
       ++I->Stats.MatrixWarm;
-      Warm.add();
       I->touch(It->second);
       if (T0)
         HitNs.record(obs::nowNs() - T0);
@@ -352,7 +328,6 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
   I->Plans.emplace(Key,
                    Impl::PlanEntry{Shared, I->Lru.begin(), obs::nowNs()});
   ++I->Stats.MatrixCold;
-  Cold.add();
   I->evictToCapacity();
   return Shared;
 }
@@ -360,7 +335,6 @@ Engine::plan(const kernels::Kernel &K, const codegen::UFEnvironment &Env,
 std::shared_ptr<const MatrixPlan>
 Engine::planIfCached(const kernels::Kernel &K, int N, bool Speculate,
                      uint64_t EnvFp) {
-  static obs::Counter &Warm = obs::counter("engine.matrix_warm");
   bool Spec = Speculate || I->Opts.Analysis.Speculate;
   Impl::MatrixKey Key{I->matrixPrefix(K.Name, Spec), EnvFp,
                       static_cast<int64_t>(N)};
@@ -369,7 +343,6 @@ Engine::planIfCached(const kernels::Kernel &K, int N, bool Speculate,
   if (It == I->Plans.end())
     return nullptr;
   ++I->Stats.MatrixWarm;
-  Warm.add();
   I->touch(It->second);
   return It->second.Plan;
 }

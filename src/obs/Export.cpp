@@ -1,4 +1,4 @@
-//===- Export.cpp - Trace and stats exporters -----------------------------===//
+//===- Export.cpp - Chrome trace exporter ---------------------------------===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
@@ -6,13 +6,9 @@
 
 #include "sds/obs/Export.h"
 
-#include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
-#include "sds/support/Schema.h"
 
-#include <algorithm>
 #include <fstream>
-#include <map>
 
 namespace sds {
 namespace obs {
@@ -65,48 +61,6 @@ bool writeChromeTrace(const std::string &Path) {
   Out << chromeTraceJSON() << "\n";
   return static_cast<bool>(Out);
 }
-
-json::Value statsReport() {
-  struct Agg {
-    uint64_t Count = 0;
-    uint64_t TotalNs = 0;
-    uint64_t MinNs = UINT64_MAX;
-    uint64_t MaxNs = 0;
-  };
-  std::map<std::string, Agg> ByName;
-  for (const TraceEvent &E : snapshotEvents()) {
-    Agg &A = ByName[E.Name];
-    ++A.Count;
-    A.TotalNs += E.DurNs;
-    A.MinNs = std::min(A.MinNs, E.DurNs);
-    A.MaxNs = std::max(A.MaxNs, E.DurNs);
-  }
-  json::Object Spans;
-  for (const auto &[Name, A] : ByName) {
-    json::Object S;
-    S.emplace("count", json::Value(static_cast<int64_t>(A.Count)));
-    S.emplace("total_ms", json::Value(static_cast<double>(A.TotalNs) / 1e6));
-    S.emplace("min_ms", json::Value(static_cast<double>(A.MinNs) / 1e6));
-    S.emplace("max_ms", json::Value(static_cast<double>(A.MaxNs) / 1e6));
-    Spans.emplace(Name, json::Value(std::move(S)));
-  }
-  // Live gauges (registry gauges + polled sources: presburger cache,
-  // prefilter ladder, engine stats) ride along so one stats dump carries
-  // the pull-only structs too.
-  json::Object Gauges;
-  for (const auto &[Name, V] : snapshotMetrics().Gauges)
-    Gauges.emplace(Name, json::Value(V));
-  json::Object Root;
-  Root.emplace("schema_version", json::Value(schema::kVersion));
-  Root.emplace("spans", json::Value(std::move(Spans)));
-  Root.emplace("counters", countersObject());
-  Root.emplace("gauges", json::Value(std::move(Gauges)));
-  Root.emplace("dropped_events",
-               json::Value(static_cast<int64_t>(droppedEvents())));
-  return json::Value(std::move(Root));
-}
-
-std::string statsJSON() { return statsReport().str(); }
 
 } // namespace obs
 } // namespace sds

@@ -22,12 +22,6 @@ namespace obs {
 
 namespace detail {
 std::atomic<bool> MetricsEnabled{false};
-
-unsigned metricShardIndex() {
-  static std::atomic<unsigned> Next{0};
-  thread_local unsigned Idx = Next.fetch_add(1, std::memory_order_relaxed);
-  return Idx;
-}
 } // namespace detail
 
 namespace {
@@ -37,7 +31,6 @@ namespace {
 /// handles never dangle.
 struct MetricsRegistry {
   std::mutex Mu;
-  std::map<std::string, std::unique_ptr<MetricCounter>, std::less<>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
 
@@ -60,18 +53,6 @@ MetricsRegistry &registry() {
 void setMetricsEnabled(bool On) {
   (void)registry();
   detail::MetricsEnabled.store(On, std::memory_order_relaxed);
-}
-
-MetricCounter &metricCounter(std::string_view Name) {
-  MetricsRegistry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  auto It = R.Counters.find(Name);
-  if (It == R.Counters.end())
-    It = R.Counters
-             .emplace(std::string(Name),
-                      std::make_unique<MetricCounter>(std::string(Name)))
-             .first;
-  return *It->second;
 }
 
 Gauge &gauge(std::string_view Name) {
@@ -114,6 +95,11 @@ void unregisterGaugeSource(uint64_t Handle) {
                                    return S.Handle == Handle;
                                  }),
                   R.Sources.end());
+}
+
+GaugeSources::~GaugeSources() {
+  for (uint64_t H : Handles)
+    unregisterGaugeSource(H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,12 +188,10 @@ ScopedLatency::~ScopedLatency() { stop(); }
 MetricsSnapshot snapshotMetrics() {
   MetricsRegistry &R = registry();
   MetricsSnapshot Out;
+  Out.Counters = snapshotCounters();
   std::vector<std::pair<std::string, std::function<double()>>> Sources;
   {
     std::lock_guard<std::mutex> Lock(R.Mu);
-    Out.Counters.reserve(R.Counters.size());
-    for (const auto &[Name, C] : R.Counters)
-      Out.Counters.emplace_back(Name, C->value());
     for (const auto &[Name, G] : R.Gauges)
       Out.Gauges.emplace_back(Name, G->value());
     for (const auto &S : R.Sources)
@@ -215,14 +199,17 @@ MetricsSnapshot snapshotMetrics() {
     for (const auto &[Name, H] : R.Histograms) {
       HistogramSnapshot HS;
       HS.Name = Name;
+      HS.InMs =
+          Name.size() > 3 && Name.compare(Name.size() - 3, 3, "_ns") == 0;
       HS.Count = H->count();
       if (HS.Count) {
-        HS.SumMs = static_cast<double>(H->sum()) / 1e6;
-        HS.MinMs = static_cast<double>(H->min()) / 1e6;
-        HS.MaxMs = static_cast<double>(H->max()) / 1e6;
-        HS.P50Ms = H->quantile(0.50) / 1e6;
-        HS.P95Ms = H->quantile(0.95) / 1e6;
-        HS.P99Ms = H->quantile(0.99) / 1e6;
+        double Scale = HS.InMs ? 1e-6 : 1.0;
+        HS.Sum = static_cast<double>(H->sum()) * Scale;
+        HS.Min = static_cast<double>(H->min()) * Scale;
+        HS.Max = static_cast<double>(H->max()) * Scale;
+        HS.P50 = H->quantile(0.50) * Scale;
+        HS.P95 = H->quantile(0.95) * Scale;
+        HS.P99 = H->quantile(0.99) * Scale;
       }
       Out.Histograms.push_back(std::move(HS));
     }
@@ -255,26 +242,27 @@ json::Value metricsReport() {
     Gauges.emplace(Name, json::Value(V));
   json::Object Histos;
   for (const HistogramSnapshot &H : S.Histograms) {
+    const std::string Unit = H.InMs ? "_ms" : "";
     json::Object O;
     O.emplace("count", json::Value(static_cast<int64_t>(H.Count)));
-    O.emplace("sum_ms", json::Value(H.SumMs));
-    O.emplace("min_ms", json::Value(H.MinMs));
-    O.emplace("max_ms", json::Value(H.MaxMs));
-    O.emplace("p50_ms", json::Value(H.P50Ms));
-    O.emplace("p95_ms", json::Value(H.P95Ms));
-    O.emplace("p99_ms", json::Value(H.P99Ms));
+    O.emplace("sum" + Unit, json::Value(H.Sum));
+    O.emplace("min" + Unit, json::Value(H.Min));
+    O.emplace("max" + Unit, json::Value(H.Max));
+    O.emplace("p50" + Unit, json::Value(H.P50));
+    O.emplace("p95" + Unit, json::Value(H.P95));
+    O.emplace("p99" + Unit, json::Value(H.P99));
     Histos.emplace(H.Name, json::Value(std::move(O)));
   }
   // The frozen Figure-3 stage view: every kStageKeys entry present,
-  // zero-filled, from the pipeline.stage.<key> histograms.
+  // zero-filled, from the pipeline.stage.<key>_ns histograms.
   json::Object Stages;
   for (size_t I = 0; I < schema::kNumStageKeys; ++I) {
     const char *Key = schema::kStageKeys[I];
     double Seconds = 0;
-    std::string HName = std::string("pipeline.stage.") + Key;
+    std::string HName = std::string("pipeline.stage.") + Key + "_ns";
     for (const HistogramSnapshot &H : S.Histograms)
       if (H.Name == HName)
-        Seconds = H.SumMs / 1e3;
+        Seconds = H.Sum / 1e3;
     Stages.emplace(Key, json::Value(Seconds));
   }
   json::Object Root;
@@ -349,15 +337,17 @@ std::string prometheusText() {
   for (const HistogramSnapshot &H : S.Histograms) {
     std::string P = promName(H.Name);
     Out += "# TYPE " + P + " summary\n";
+    // ms -> seconds, the Prometheus base unit; other units stay as is.
+    double Scale = H.InMs ? 1e-3 : 1.0;
     const std::pair<const char *, double> Qs[] = {
-        {"0.5", H.P50Ms}, {"0.95", H.P95Ms}, {"0.99", H.P99Ms}};
+        {"0.5", H.P50}, {"0.95", H.P95}, {"0.99", H.P99}};
     for (const auto &[Label, Q] : Qs) {
       Out += P + "{quantile=\"" + promEscape(Label) + "\"} ";
-      promNumber(Out, Q / 1e3); // ms -> seconds, the Prometheus base unit
+      promNumber(Out, Q * Scale);
       Out += "\n";
     }
     Out += P + "_sum ";
-    promNumber(Out, H.SumMs / 1e3);
+    promNumber(Out, H.Sum * Scale);
     Out += "\n" + P + "_count " + std::to_string(H.Count) + "\n";
   }
   return Out;
@@ -381,15 +371,13 @@ void resetMetrics() {
   MetricsRegistry &R = registry();
   {
     std::lock_guard<std::mutex> Lock(R.Mu);
-    for (auto &[Name, C] : R.Counters)
-      C->reset();
     for (auto &[Name, G] : R.Gauges)
       G->reset();
     for (auto &[Name, H] : R.Histograms)
       H->reset();
   }
   clearFlight();
-  clear(); // Trace.h events + counters
+  clear(); // Trace.h events + every obs::Counter
 }
 
 } // namespace obs

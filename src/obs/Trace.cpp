@@ -18,6 +18,12 @@ namespace obs {
 
 namespace detail {
 std::atomic<bool> Enabled{false};
+
+unsigned counterShardIndex() {
+  static std::atomic<unsigned> Next{0};
+  thread_local unsigned Idx = Next.fetch_add(1, std::memory_order_relaxed);
+  return Idx;
+}
 } // namespace detail
 
 namespace {

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <functional>
 #include <map>
@@ -373,14 +372,43 @@ std::string rowKeyBytes(bool IsEq, const std::vector<int64_t> &Row) {
   return Out;
 }
 
+/// The verdict-cache and prefilter-ladder tallies, one always-on
+/// obs::Counter per event: queryCacheStats() and prefilterStats() read
+/// them and clearQueryCache() zeroes them, so the metrics snapshot and
+/// the Stats views can never disagree.
+struct Tallies {
+  obs::Counter &CacheHits = obs::counter("basicset.cache_hits");
+  obs::Counter &CacheMisses = obs::counter("basicset.cache_misses");
+  /// Misses rescued by the core index (also counted in CacheHits).
+  obs::Counter &CoreSubsume = obs::counter("basicset.cache_core_subsume");
+  obs::Counter &Gcd = obs::counter("basicset.prefilter_gcd");
+  obs::Counter &EqConflict = obs::counter("basicset.prefilter_eq_conflict");
+  obs::Counter &Interval = obs::counter("basicset.prefilter_interval");
+  obs::Counter &SynSubset =
+      obs::counter("basicset.prefilter_subset_syntactic");
+  obs::Counter &PrefilterMiss = obs::counter("basicset.prefilter_miss");
+
+  void reset() {
+    for (obs::Counter *C : {&CacheHits, &CacheMisses, &CoreSubsume, &Gcd,
+                            &EqConflict, &Interval, &SynSubset,
+                            &PrefilterMiss})
+      C->reset();
+  }
+};
+
+Tallies &tallies() {
+  static Tallies T;
+  return T;
+}
+
 /// Process-wide canonical-system -> verdict cache. Definitive verdicts are
 /// mathematical facts about the (budget, constraint-system) pair, so there
 /// is no invalidation; each shard's map is simply bounded.
 ///
 /// The map is split into independently-locked shards selected by the
 /// key's hash so concurrent queries from the task-parallel pipeline do
-/// not serialize on one mutex; hit/miss tallies are relaxed atomics
-/// bumped outside any lock.
+/// not serialize on one mutex; hits and misses are counted in tallies(),
+/// outside any lock.
 struct QueryCache {
   static constexpr size_t ShardBits = 4;
   static constexpr size_t NumShards = size_t(1) << ShardBits;
@@ -391,15 +419,14 @@ struct QueryCache {
     std::unordered_map<std::string, CacheValue> Map;
   };
   std::array<Shard, NumShards> Shards;
-  std::atomic<uint64_t> Hits{0}, Misses{0}, SubsumptionHits{0};
 
   Shard &shardFor(const std::string &Key) {
     return Shards[std::hash<std::string>{}(Key) & (NumShards - 1)];
   }
 
   /// Raw map probe; counts nothing. Callers decide whether a miss is
-  /// final (countMiss) or rescued by the subsumption index (countHit +
-  /// countSubsumption).
+  /// final (CacheMisses) or rescued by the subsumption index (CacheHits +
+  /// CoreSubsume).
   std::optional<CacheValue> lookupRaw(const std::string &Key) {
     Shard &S = shardFor(Key);
     std::lock_guard<std::mutex> Lock(S.M);
@@ -407,24 +434,6 @@ struct QueryCache {
     if (It != S.Map.end())
       return It->second;
     return std::nullopt;
-  }
-
-  void countHit() {
-    static obs::Counter &HitCtr = obs::counter("basicset.cache_hits");
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    HitCtr.add();
-  }
-
-  void countMiss() {
-    static obs::Counter &MissCtr = obs::counter("basicset.cache_misses");
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    MissCtr.add();
-  }
-
-  void countSubsumption() {
-    static obs::Counter &SubCtr = obs::counter("basicset.cache_core_subsume");
-    SubsumptionHits.fetch_add(1, std::memory_order_relaxed);
-    SubCtr.add();
   }
 
   void store(const std::string &Key, Ternary V,
@@ -521,85 +530,26 @@ CoreIndex &coreIndex() {
   return C;
 }
 
-/// The always-on verdict-cache and prefilter tallies as live gauges,
-/// registered once at static-init time (both registries are leaked
-/// singletons, so no lifetime ordering to respect). Polled only at
-/// snapshot time; costs nothing on the query path.
+/// The verdict cache's levels as live gauges (its hit/miss counts are
+/// counters, exported as such), registered once at static-init time
+/// (both registries are leaked singletons, so no lifetime ordering to
+/// respect). Polled only at snapshot time; costs nothing on the query
+/// path.
 [[maybe_unused]] const bool RegisteredCacheGauges = [] {
-  auto Reg = [](const char *Name, double (*Fn)()) {
-    obs::registerGaugeSource(Name, Fn);
-  };
-  Reg("presburger.query_cache.hits",
-      [] { return static_cast<double>(queryCacheStats().Hits); });
-  Reg("presburger.query_cache.misses",
-      [] { return static_cast<double>(queryCacheStats().Misses); });
-  Reg("presburger.query_cache.entries",
-      [] { return static_cast<double>(queryCacheStats().Entries); });
-  Reg("presburger.query_cache.hit_rate",
-      [] { return queryCacheStats().hitRate(); });
-  Reg("presburger.query_cache.core_subsumption_hits",
-      [] { return static_cast<double>(queryCacheStats().CoreSubsumptionHits); });
-  Reg("presburger.query_cache.core_entries",
-      [] { return static_cast<double>(queryCacheStats().CoreEntries); });
-  Reg("presburger.prefilter.rejects",
-      [] { return static_cast<double>(prefilterStats().rejects()); });
-  Reg("presburger.prefilter.syntactic_subset",
-      [] { return static_cast<double>(prefilterStats().SyntacticSubsetHits); });
-  Reg("presburger.prefilter.misses",
-      [] { return static_cast<double>(prefilterStats().Misses); });
+  obs::registerGaugeSource("presburger.query_cache.entries", [] {
+    return static_cast<double>(queryCacheStats().Entries);
+  });
+  obs::registerGaugeSource("presburger.query_cache.hit_rate",
+                           [] { return queryCacheStats().hitRate(); });
+  obs::registerGaugeSource("presburger.query_cache.core_entries", [] {
+    return static_cast<double>(queryCacheStats().CoreEntries);
+  });
   return true;
 }();
 
 //===----------------------------------------------------------------------===//
 // Prefilter ladder
 //===----------------------------------------------------------------------===//
-
-/// Always-on prefilter tallies (obs counters mirror them when tracing is
-/// enabled, under the basicset.prefilter_* names).
-struct PrefilterCounters {
-  std::atomic<uint64_t> Gcd{0}, EqConflict{0}, Interval{0}, SynSubset{0},
-      Miss{0};
-
-  void reset() {
-    Gcd = EqConflict = Interval = SynSubset = Miss = 0;
-  }
-};
-
-PrefilterCounters &prefilterCounters() {
-  static PrefilterCounters C;
-  return C;
-}
-
-void countGcdReject() {
-  static obs::Counter &Ctr = obs::counter("basicset.prefilter_gcd");
-  Ctr.add();
-  prefilterCounters().Gcd.fetch_add(1, std::memory_order_relaxed);
-}
-
-void countEqConflictReject() {
-  static obs::Counter &Ctr = obs::counter("basicset.prefilter_eq_conflict");
-  Ctr.add();
-  prefilterCounters().EqConflict.fetch_add(1, std::memory_order_relaxed);
-}
-
-void countIntervalReject() {
-  static obs::Counter &Ctr = obs::counter("basicset.prefilter_interval");
-  Ctr.add();
-  prefilterCounters().Interval.fetch_add(1, std::memory_order_relaxed);
-}
-
-void countSyntacticSubset() {
-  static obs::Counter &Ctr =
-      obs::counter("basicset.prefilter_subset_syntactic");
-  Ctr.add();
-  prefilterCounters().SynSubset.fetch_add(1, std::memory_order_relaxed);
-}
-
-void countPrefilterMiss() {
-  static obs::Counter &Ctr = obs::counter("basicset.prefilter_miss");
-  Ctr.add();
-  prefilterCounters().Miss.fetch_add(1, std::memory_order_relaxed);
-}
 
 /// Two equalities with an identical variable part but different constants
 /// are contradictory. normalize() GCD-reduces rows and canonicalizes the
@@ -762,13 +712,13 @@ struct PrefilterCore {
 Ternary prefilterNormalized(const BasicSet &N, PrefilterCore *Core = nullptr) {
   std::pair<size_t, size_t> Conflict;
   if (hasConflictingEqualities(N, &Conflict)) {
-    countEqConflictReject();
+    tallies().EqConflict.add();
     if (Core)
       Core->EqRows = {Conflict.first, Conflict.second};
     return Ternary::True;
   }
   if (intervalConflict(N)) {
-    countIntervalReject();
+    tallies().Interval.add();
     if (Core)
       Core->AllRows = true;
     return Ternary::True;
@@ -811,10 +761,9 @@ QueryCacheStats queryCacheStats() {
     std::lock_guard<std::mutex> Lock(S.M);
     Entries += S.Map.size();
   }
-  return {C.Hits.load(std::memory_order_relaxed),
-          C.Misses.load(std::memory_order_relaxed), Entries,
-          C.SubsumptionHits.load(std::memory_order_relaxed),
-          coreIndex().size()};
+  Tallies &T = tallies();
+  return {T.CacheHits.value(), T.CacheMisses.value(), Entries,
+          T.CoreSubsume.value(), coreIndex().size()};
 }
 
 void clearQueryCache() {
@@ -823,29 +772,26 @@ void clearQueryCache() {
     std::lock_guard<std::mutex> Lock(S.M);
     S.Map.clear();
   }
-  C.Hits.store(0, std::memory_order_relaxed);
-  C.Misses.store(0, std::memory_order_relaxed);
-  C.SubsumptionHits.store(0, std::memory_order_relaxed);
   coreIndex().clear();
-  prefilterCounters().reset();
+  tallies().reset();
   resetBudgetCounters();
 }
 
 PrefilterStats prefilterStats() {
-  PrefilterCounters &C = prefilterCounters();
+  Tallies &T = tallies();
   PrefilterStats Out;
-  Out.GcdRejects = C.Gcd.load(std::memory_order_relaxed);
-  Out.EqConflictRejects = C.EqConflict.load(std::memory_order_relaxed);
-  Out.IntervalRejects = C.Interval.load(std::memory_order_relaxed);
-  Out.SyntacticSubsetHits = C.SynSubset.load(std::memory_order_relaxed);
-  Out.Misses = C.Miss.load(std::memory_order_relaxed);
+  Out.GcdRejects = T.Gcd.value();
+  Out.EqConflictRejects = T.EqConflict.value();
+  Out.IntervalRejects = T.Interval.value();
+  Out.SyntacticSubsetHits = T.SynSubset.value();
+  Out.Misses = T.PrefilterMiss.value();
   return Out;
 }
 
 Ternary prefilterEmptiness(const BasicSet &S) {
   BasicSet N = S;
   if (!N.normalize()) {
-    countGcdReject();
+    tallies().Gcd.add();
     return Ternary::True;
   }
   return prefilterNormalized(N);
@@ -932,7 +878,7 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
   TaggedSet T(*this);
   uint32_t BadTag = kBranchTag;
   if (!normalizeTagged(T, BadTag)) {
-    countGcdReject();
+    tallies().Gcd.add();
     if (Core && BadTag != kBranchTag) {
       Core->Rows = {BadTag};
       Core->Valid = true;
@@ -966,7 +912,7 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
     }
     return Ternary::True;
   }
-  countPrefilterMiss();
+  tallies().PrefilterMiss.add();
   std::string Key;
   Key.reserve(32 + (N.numConstraints() + 2) * (NumVars + 2) * 8);
   Key.push_back('E');
@@ -974,7 +920,7 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
   appendCanonicalNormalized(Key, N);
   QueryCache &QC = queryCache();
   if (std::optional<CacheValue> Hit = QC.lookupRaw(Key)) {
-    QC.countHit();
+    tallies().CacheHits.add();
     if (Core && Hit->V == Ternary::True && Hit->Core) {
       std::vector<uint32_t> Tags;
       if (tagsFromContentCore(T, *Hit->Core, Tags)) {
@@ -989,8 +935,8 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
   // this query refutes it outright (more constraints, fewer points) —
   // budget-independent, so it rescues queries across budget settings too.
   if (std::shared_ptr<const CachedCore> Sub = coreIndex().subsuming(N)) {
-    QC.countHit();
-    QC.countSubsumption();
+    tallies().CacheHits.add();
+    tallies().CoreSubsume.add();
     QC.store(Key, Ternary::True, Sub);
     if (Core) {
       std::vector<uint32_t> Tags;
@@ -1002,7 +948,7 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
     }
     return Ternary::True;
   }
-  QC.countMiss();
+  tallies().CacheMisses.add();
   // Past the analysis deadline, skip the solver outright (the cache may
   // still serve proven facts above — they stay valid forever).
   if (deadlineExpired()) {
@@ -1166,14 +1112,14 @@ Ternary BasicSet::isSubsetOf(const BasicSet &Other,
   // and syntactic row containment proves the subset without any solver.
   BasicSet NThis = *this;
   if (!NThis.normalize()) {
-    countGcdReject();
+    tallies().Gcd.add();
     return Ternary::True;
   }
   BasicSet NOther = Other;
   if (!NOther.normalize())
     return isEmpty(NodeBudget);
   if (syntacticallyContains(NThis, NOther)) {
-    countSyntacticSubset();
+    tallies().SynSubset.add();
     return Ternary::True;
   }
   // Memoized on (canonical this, canonical other, budget); the per-
@@ -1187,10 +1133,10 @@ Ternary BasicSet::isSubsetOf(const BasicSet &Other,
   appendCanonicalNormalized(Key, NThis);
   appendCanonicalNormalized(Key, NOther);
   if (std::optional<CacheValue> Hit = queryCache().lookupRaw(Key)) {
-    queryCache().countHit();
+    tallies().CacheHits.add();
     return Hit->V;
   }
-  queryCache().countMiss();
+  tallies().CacheMisses.add();
   Ternary Verdict = [&] {
   // this ⊆ {row >= 0}  iff  this ∧ (row <= -1) is empty. One probe set
   // is reused across all halfspaces: push the negated row, query, pop.

@@ -18,10 +18,18 @@ namespace {
 constexpr uint64_t DefaultPivotBudget = 1'000'000;
 
 std::atomic<uint64_t> PivotBudget{DefaultPivotBudget};
-std::atomic<uint64_t> PivotExhaustions{0};
-std::atomic<uint64_t> DeadlineHits{0};
 
 thread_local uint64_t DeadlineNs = 0;
+
+obs::Counter &pivotExhaustionCounter() {
+  static obs::Counter &C = obs::counter("simplex.budget_exhausted");
+  return C;
+}
+
+obs::Counter &deadlineExhaustionCounter() {
+  static obs::Counter &C = obs::counter("basicset.deadline_exhausted");
+  return C;
+}
 
 } // namespace
 
@@ -33,13 +41,9 @@ void setPivotBudget(uint64_t MaxPivotsPerSolve) {
 
 uint64_t pivotBudget() { return PivotBudget.load(std::memory_order_relaxed); }
 
-uint64_t pivotBudgetExhaustions() {
-  return PivotExhaustions.load(std::memory_order_relaxed);
-}
+uint64_t pivotBudgetExhaustions() { return pivotExhaustionCounter().value(); }
 
-void notePivotBudgetExhaustion() {
-  PivotExhaustions.fetch_add(1, std::memory_order_relaxed);
-}
+void notePivotBudgetExhaustion() { pivotExhaustionCounter().add(); }
 
 uint64_t currentDeadlineNs() { return DeadlineNs; }
 
@@ -47,17 +51,13 @@ bool deadlineExpired() {
   return DeadlineNs != 0 && obs::nowNs() >= DeadlineNs;
 }
 
-uint64_t deadlineExhaustions() {
-  return DeadlineHits.load(std::memory_order_relaxed);
-}
+uint64_t deadlineExhaustions() { return deadlineExhaustionCounter().value(); }
 
-void noteDeadlineExhaustion() {
-  DeadlineHits.fetch_add(1, std::memory_order_relaxed);
-}
+void noteDeadlineExhaustion() { deadlineExhaustionCounter().add(); }
 
 void resetBudgetCounters() {
-  PivotExhaustions.store(0, std::memory_order_relaxed);
-  DeadlineHits.store(0, std::memory_order_relaxed);
+  pivotExhaustionCounter().reset();
+  deadlineExhaustionCounter().reset();
 }
 
 ScopedDeadline::ScopedDeadline(uint64_t AbsDeadlineNs) : Prev(DeadlineNs) {

@@ -139,7 +139,6 @@ public:
   /// `Allowed` masks which columns may enter the basis (may be null).
   LPStatus iterate(const std::vector<bool> *Allowed) {
     static obs::Counter &PivotCount = obs::counter("simplex.pivots");
-    static obs::Counter &BudgetHits = obs::counter("simplex.budget_exhausted");
     unsigned Pivots = 0;
     const unsigned BlandAfter = 500;
     const uint64_t MaxPivots = pivotBudget();
@@ -148,7 +147,6 @@ public:
         return LPStatus::Error;
       PivotCount.add();
       if (Pivots >= MaxPivots) {
-        BudgetHits.add();
         notePivotBudgetExhaustion();
         return LPStatus::Error;
       }

@@ -311,8 +311,9 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
   CompiledScheduleStats St = describeSchedule(S);
   Sp.tag("waves", static_cast<int64_t>(St.Base.NumWaves));
   Sp.tag("chunks", static_cast<int64_t>(St.NumChunks));
+  static obs::Counter &Built = obs::counter("schedule.built");
+  Built.add();
   if (obs::metricsEnabled()) {
-    obs::metricCounter("schedule.built").add(1);
     obs::gauge("schedule.waves").set(St.Base.NumWaves);
     obs::gauge("schedule.chunks").set(static_cast<double>(St.NumChunks));
   }

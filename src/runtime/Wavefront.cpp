@@ -169,15 +169,15 @@ partitionByCost(const std::vector<int> &Nodes, int NumThreads,
 
 namespace {
 
-/// Record the shape of a finished schedule as span tags + counters.
+/// Record the shape of a finished schedule as counters + span tags.
 void recordScheduleStats(obs::Span &Sp, const WavefrontSchedule &S) {
-  if (!obs::enabled())
-    return;
   static obs::Counter &Waves = obs::counter("wavefront.waves");
   static obs::Counter &Nodes = obs::counter("wavefront.scheduled_nodes");
   ScheduleStats St = describeSchedule(S);
   Waves.add(static_cast<uint64_t>(St.NumWaves));
   Nodes.add(St.TotalNodes);
+  if (!obs::enabled())
+    return;
   Sp.tag("waves", static_cast<int64_t>(St.NumWaves));
   Sp.tag("nodes", static_cast<int64_t>(St.TotalNodes));
   Sp.tag("max_wave", static_cast<int64_t>(St.MaxWaveSize));

@@ -86,7 +86,9 @@ struct Server::Impl {
   size_t InService = 0;
   ServerStats Stats;
   std::vector<std::thread> Workers;
-  std::vector<uint64_t> GaugeHandles;
+  /// Last member, so its gauge sources unregister before the state they
+  /// read is destroyed.
+  obs::GaugeSources Gauges;
 
   explicit Impl(ServerOptions O) : Opts(std::move(O)), Engine(Opts.Engine) {}
 
@@ -140,16 +142,33 @@ Server::Server(ServerOptions Opts) : I(std::make_unique<Impl>(std::move(Opts))) 
     }
   }
   Impl *Raw = I.get();
-  I->GaugeHandles.push_back(
-      obs::registerGaugeSource("serve.queue_depth", [Raw] {
+  I->Gauges.add("serve.queue_depth", [Raw] {
+    std::lock_guard<std::mutex> Lock(Raw->Mu);
+    return static_cast<double>(Raw->Queue.size());
+  });
+  I->Gauges.add("serve.in_service", [Raw] {
+    std::lock_guard<std::mutex> Lock(Raw->Mu);
+    return static_cast<double>(Raw->InService);
+  });
+  I->Gauges.addFields<ServerStats>(
+      {{"serve.submitted", &ServerStats::Submitted},
+       {"serve.completed", &ServerStats::Completed},
+       {"serve.warm", &ServerStats::Warm},
+       {"serve.cold", &ServerStats::Cold},
+       {"serve.store_warm", &ServerStats::StoreWarm},
+       {"serve.degraded", &ServerStats::Degraded},
+       {"serve.coalesced", &ServerStats::Coalesced},
+       {"serve.shed_queue", &ServerStats::ShedQueue},
+       {"serve.shed_deadline", &ServerStats::ShedDeadline},
+       {"serve.errors", &ServerStats::Errors},
+       {"serve.kernel_coalesced", &ServerStats::KernelCoalesced},
+       {"serve.speculated", &ServerStats::Speculated},
+       {"serve.batches", &ServerStats::Batches},
+       {"serve.batch_items", &ServerStats::BatchItems}},
+      [Raw] {
         std::lock_guard<std::mutex> Lock(Raw->Mu);
-        return static_cast<double>(Raw->Queue.size());
-      }));
-  I->GaugeHandles.push_back(
-      obs::registerGaugeSource("serve.in_service", [Raw] {
-        std::lock_guard<std::mutex> Lock(Raw->Mu);
-        return static_cast<double>(Raw->InService);
-      }));
+        return Raw->Stats;
+      });
   int W = std::max(1, I->Opts.NumWorkers);
   I->Workers.reserve(static_cast<size_t>(W));
   for (int J = 0; J < W; ++J)
@@ -174,8 +193,6 @@ Server::Server(ServerOptions Opts) : I(std::make_unique<Impl>(std::move(Opts))) 
           // Deadline-based load shedding: nobody is waiting for this
           // answer anymore; spend the worker on a request that can still
           // make its deadline.
-          static obs::Counter &ShedDl = obs::counter("serve.shed_deadline");
-          ShedDl.add();
           I->bump(&ServerStats::ShedDeadline);
           obs::flightRecord(obs::FlightSeverity::Warn, "serve",
                             "request shed: deadline expired in queue",
@@ -217,14 +234,9 @@ Server::~Server() {
     Item.Promise.set_value(
         Impl::shed(Outcome::ShedQueue, "server shutting down"));
   }
-  for (uint64_t H : I->GaugeHandles)
-    obs::unregisterGaugeSource(H);
 }
 
 std::future<ServeResponse> Server::submit(ServeRequest R) {
-  static obs::Counter &Submitted = obs::counter("serve.submitted");
-  static obs::Counter &Shed = obs::counter("serve.shed_queue");
-  Submitted.add();
   I->bump(&ServerStats::Submitted);
   QueueItem Item;
   Item.EnqueueNs = obs::nowNs();
@@ -237,7 +249,6 @@ std::future<ServeResponse> Server::submit(ServeRequest R) {
     std::lock_guard<std::mutex> Lock(I->Mu);
     if (I->Stopping || I->Queue.size() >= I->Opts.MaxQueueDepth) {
       ++I->Stats.ShedQueue;
-      Shed.add();
       obs::flightRecord(obs::FlightSeverity::Warn, "serve",
                         I->Stopping ? "request shed: server stopping"
                                     : "request shed: queue at capacity",
@@ -259,10 +270,6 @@ std::future<ServeResponse> Server::submit(ServeRequest R) {
 std::vector<std::future<ServeResponse>>
 Server::submitBatch(const kernels::Kernel &K, std::vector<BatchItem> Items,
                     double DeadlineMs, bool Speculate) {
-  static obs::Counter &Batches = obs::counter("serve.batches");
-  static obs::Counter &BatchItems = obs::counter("serve.batch_items");
-  Batches.add();
-  BatchItems.add(Items.size());
   {
     std::lock_guard<std::mutex> Lock(I->Mu);
     ++I->Stats.Batches;
@@ -291,11 +298,6 @@ Server::submitBatch(const kernels::Kernel &K, std::vector<BatchItem> Items,
 }
 
 ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
-  static obs::Counter &WarmC = obs::counter("serve.warm");
-  static obs::Counter &ColdC = obs::counter("serve.cold");
-  static obs::Counter &StoreC = obs::counter("serve.store_warm");
-  static obs::Counter &DegradedC = obs::counter("serve.degraded");
-  static obs::Counter &CoalescedC = obs::counter("serve.coalesced");
   static obs::Histogram &ServiceNs = obs::histogram("serve.service_ns");
   uint64_t T0 = obs::nowNs();
   auto Finish = [&](ServeResponse Resp) {
@@ -303,11 +305,8 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
     ServiceNs.record(static_cast<uint64_t>(Resp.ServiceMs * 1e6));
     if (Resp.Plan) {
       I->bump(&ServerStats::Completed);
-      if (I->speculates(R)) {
-        static obs::Counter &SpecC = obs::counter("serve.speculated");
-        SpecC.add();
+      if (I->speculates(R))
         I->bump(&ServerStats::Speculated);
-      }
     } else if (Resp.O == Outcome::Error) {
       I->bump(&ServerStats::Errors);
     }
@@ -321,7 +320,6 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
   // Plan tier: the common case for steady traffic is a pure memory hit.
   if (std::shared_ptr<const engine::MatrixPlan> P =
           I->Engine.planIfCached(R.Kernel, R.N, R.Speculate, EnvFp)) {
-    WarmC.add();
     I->bump(&ServerStats::Warm);
     ServeResponse Resp;
     Resp.O = Outcome::Warm;
@@ -359,12 +357,10 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
     }
     if (!Ready) {
       I->bump(&ServerStats::ShedDeadline);
-      obs::counter("serve.shed_deadline").add();
       return Finish(Impl::shed(
           Outcome::ShedDeadline,
           "deadline expired waiting on an identical in-flight request"));
     }
-    CoalescedC.add();
     I->bump(&ServerStats::Coalesced);
     ServeResponse Resp = Entry->R;
     Resp.O = Outcome::Coalesced;
@@ -374,15 +370,12 @@ ServeResponse Server::handle(const ServeRequest &R, uint64_t AbsDeadlineNs) {
   ServeResponse Resp = serveCold(R, AbsDeadlineNs, EnvFp);
   switch (Resp.O) {
   case Outcome::Cold:
-    ColdC.add();
     I->bump(&ServerStats::Cold);
     break;
   case Outcome::StoreWarm:
-    StoreC.add();
     I->bump(&ServerStats::StoreWarm);
     break;
   case Outcome::Degraded:
-    DegradedC.add();
     I->bump(&ServerStats::Degraded);
     break;
   default:
@@ -462,7 +455,6 @@ ServeResponse Server::serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs,
               AbsDeadlineNs > Now ? AbsDeadlineNs - Now : 0);
           if (!KF->CV.wait_for(Lock, Budget, [&] { return KF->Done; })) {
             I->bump(&ServerStats::ShedDeadline);
-            obs::counter("serve.shed_deadline").add();
             return Impl::shed(
                 Outcome::ShedDeadline,
                 "deadline expired waiting on the kernel-tier fill");
@@ -471,8 +463,6 @@ ServeResponse Server::serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs,
           KF->CV.wait(Lock, [&] { return KF->Done; });
         }
       }
-      static obs::Counter &KCoal = obs::counter("serve.kernel_coalesced");
-      KCoal.add();
       I->bump(&ServerStats::KernelCoalesced);
       CK = I->Engine.lookupCompiled(R.Kernel);
       // A leader that degraded or failed fills no cache: resolve for

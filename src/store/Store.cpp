@@ -8,7 +8,6 @@
 
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
-#include "sds/obs/Trace.h"
 #include "sds/support/Hash.h"
 
 #include <algorithm>
@@ -119,7 +118,6 @@ struct Store::Impl {
 
   mutable std::mutex Mu;
   StoreStats Stats;
-  std::vector<uint64_t> GaugeHandles;
 
   void bump(uint64_t StoreStats::*F) {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -129,7 +127,6 @@ struct Store::Impl {
   /// Move a failed blob aside, never deleting it. Returns whether the
   /// move succeeded; either way the event is flight-recorded.
   bool quarantine(const fs::path &Blob, const std::string &Reason) {
-    static obs::Counter &Quarantined = obs::counter("store.quarantined");
     std::error_code EC;
     fs::create_directories(Quarantine, EC);
     fs::path Dest;
@@ -151,7 +148,6 @@ struct Store::Impl {
       return false;
     }
     bump(&StoreStats::Quarantined);
-    Quarantined.add();
     obs::flightRecord(obs::FlightSeverity::Warn, "store",
                       "corrupt blob quarantined",
                       {{"blob", Blob.string()},
@@ -164,7 +160,6 @@ struct Store::Impl {
   /// writes from a crashed process) and optionally decode-verify every
   /// published blob.
   void recover() {
-    static obs::Counter &Recovered = obs::counter("store.recovered_tmp");
     std::error_code EC;
     std::vector<fs::path> Tmp, Blobs;
     for (const fs::directory_entry &E : fs::directory_iterator(Root, EC)) {
@@ -181,7 +176,6 @@ struct Store::Impl {
       if (EC)
         continue;
       bump(&StoreStats::RecoveredTmp);
-      Recovered.add();
       obs::flightRecord(obs::FlightSeverity::Info, "store",
                         "recovery removed orphaned tmp file (torn write)",
                         {{"file", P.string()}});
@@ -195,6 +189,10 @@ struct Store::Impl {
         quarantine(P, "recovery verification: " + S.message());
     }
   }
+
+  /// Last member, so its gauge sources unregister before the state they
+  /// read is destroyed.
+  obs::GaugeSources Gauges;
 };
 
 Store::Store(StoreOptions Opts) : I(std::make_unique<Impl>()) {
@@ -217,23 +215,30 @@ Store::Store(StoreOptions Opts) : I(std::make_unique<Impl>()) {
   }
   I->recover();
   Impl *Raw = I.get();
-  I->GaugeHandles.push_back(obs::registerGaugeSource(
-      "store.bytes", [Raw] {
-        std::error_code E;
-        uint64_t Total = 0;
-        for (const fs::directory_entry &D :
-             fs::directory_iterator(Raw->Root, E))
-          if (D.is_regular_file(E) &&
-              isBlobName(D.path().filename().string()))
-            Total += D.file_size(E);
-        return static_cast<double>(Total);
-      }));
+  I->Gauges.add("store.bytes", [Raw] {
+    std::error_code E;
+    uint64_t Total = 0;
+    for (const fs::directory_entry &D : fs::directory_iterator(Raw->Root, E))
+      if (D.is_regular_file(E) && isBlobName(D.path().filename().string()))
+        Total += D.file_size(E);
+    return static_cast<double>(Total);
+  });
+  I->Gauges.addFields<StoreStats>(
+      {{"store.hit", &StoreStats::Hits},
+       {"store.miss", &StoreStats::Misses},
+       {"store.put", &StoreStats::Puts},
+       {"store.put_identical", &StoreStats::PutIdentical},
+       {"store.quarantined", &StoreStats::Quarantined},
+       {"store.quarantine_failed", &StoreStats::QuarantineFailed},
+       {"store.sweep_evicted", &StoreStats::SweepEvicted},
+       {"store.recovered_tmp", &StoreStats::RecoveredTmp}},
+      [Raw] {
+        std::lock_guard<std::mutex> Lock(Raw->Mu);
+        return Raw->Stats;
+      });
 }
 
-Store::~Store() {
-  for (uint64_t H : I->GaugeHandles)
-    obs::unregisterGaugeSource(H);
-}
+Store::~Store() = default;
 
 const support::Status &Store::status() const { return I->St; }
 
@@ -263,7 +268,6 @@ std::string Store::blobPath(const std::string &Key) const {
 }
 
 support::Status Store::put(const artifact::CompiledKernel &CK) {
-  static obs::Counter &Puts = obs::counter("store.put");
   static obs::Histogram &PutNs = obs::histogram("store.put_ns");
   if (!I->St.ok())
     return I->St.withContext("store put");
@@ -301,7 +305,6 @@ support::Status Store::put(const artifact::CompiledKernel &CK) {
   }
   syncDir(I->Root.string());
   I->bump(&StoreStats::Puts);
-  Puts.add();
   obs::flightRecord(obs::FlightSeverity::Info, "store", "blob published",
                     {{"kernel", CK.KernelName},
                      {"blob", Final},
@@ -313,8 +316,6 @@ support::Status Store::put(const artifact::CompiledKernel &CK) {
 
 support::Status Store::get(const std::string &Key,
                            artifact::CompiledKernel &Out, bool &Found) {
-  static obs::Counter &Hits = obs::counter("store.hit");
-  static obs::Counter &Misses = obs::counter("store.miss");
   static obs::Histogram &GetNs = obs::histogram("store.get_ns");
   Found = false;
   if (!I->St.ok())
@@ -324,7 +325,6 @@ support::Status Store::get(const std::string &Key,
   std::ifstream In(Blob, std::ios::binary);
   if (!In) {
     I->bump(&StoreStats::Misses);
-    Misses.add();
     return {};
   }
   std::stringstream SS;
@@ -332,7 +332,6 @@ support::Status Store::get(const std::string &Key,
   if (In.bad()) {
     I->quarantine(Blob, "read failed");
     I->bump(&StoreStats::Misses);
-    Misses.add();
     return {};
   }
   artifact::CompiledKernel CK;
@@ -342,7 +341,6 @@ support::Status Store::get(const std::string &Key,
     // silently deleted or silently served.
     I->quarantine(Blob, S.message());
     I->bump(&StoreStats::Misses);
-    Misses.add();
     return {};
   }
   if (keyFor(CK) != Key) {
@@ -350,7 +348,6 @@ support::Status Store::get(const std::string &Key,
     // collision, stray copy): treat exactly like corruption.
     I->quarantine(Blob, "decoded identity does not match requested key");
     I->bump(&StoreStats::Misses);
-    Misses.add();
     return {};
   }
   // Touch the blob so the LRU sweep order survives restarts.
@@ -359,7 +356,6 @@ support::Status Store::get(const std::string &Key,
   Out = std::move(CK);
   Found = true;
   I->bump(&StoreStats::Hits);
-  Hits.add();
   return {};
 }
 
@@ -371,7 +367,6 @@ bool Store::contains(const std::string &Key) const {
 }
 
 support::Status Store::sweep() {
-  static obs::Counter &Evicted = obs::counter("store.sweep_evicted");
   if (!I->St.ok())
     return I->St.withContext("store sweep");
   if (!I->Opts.MaxBytes)
@@ -404,7 +399,6 @@ support::Status Store::sweep() {
       continue;
     Total -= Blobs[J].Bytes;
     ++I->Stats.SweepEvicted;
-    Evicted.add();
     obs::flightRecord(obs::FlightSeverity::Info, "store",
                       "LRU sweep evicted blob (byte budget)",
                       {{"blob", Blobs[J].Path.string()},

@@ -6,18 +6,30 @@
 // and quantile interpolation against an exact reference, sharded-counter
 // exactness under concurrent OpenMP increments, gauge sources, the
 // Prometheus/JSON exporters (schema round-trip through sds::json), and
-// flight-recorder wraparound/ordering semantics.
+// flight-recorder wraparound/ordering semantics. It also pins the
+// one-counter rule: counters count with tracing and metrics off, the
+// presburger Stats views read those counters, and per-instance Stats
+// fields surface as gauges summed over live instances.
 //
 //===----------------------------------------------------------------------===//
 
+#include "sds/artifact/Artifact.h"
+#include "sds/kernels/Kernels.h"
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
+#include "sds/obs/Trace.h"
+#include "sds/presburger/BasicSet.h"
+#include "sds/presburger/Budget.h"
+#include "sds/presburger/Simplex.h"
+#include "sds/serve/Serve.h"
 #include "sds/support/Schema.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -126,14 +138,13 @@ TEST_F(MetricsTest, SingleSampleQuantilesCollapseToIt) {
 }
 
 TEST_F(MetricsTest, RecordIsInertWhenDisabled) {
+  // Gauges and histograms only: counters count regardless (below).
   Histogram &H = obs::histogram("test.disabled");
   obs::setMetricsEnabled(false);
   H.record(123);
-  obs::metricCounter("test.disabled_counter").add(5);
   obs::gauge("test.disabled_gauge").set(9.0);
   obs::setMetricsEnabled(true);
   EXPECT_EQ(H.count(), 0u);
-  EXPECT_EQ(obs::metricCounter("test.disabled_counter").value(), 0u);
   EXPECT_EQ(obs::gauge("test.disabled_gauge").value(), 0.0);
 }
 
@@ -145,12 +156,12 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsBitMatchSerial) {
   // The serial truth: one thread adding K times N values.
   const int Threads = std::max(2, std::min(8, omp_get_max_threads()));
   const int PerThread = 20000;
-  obs::MetricCounter &Serial = obs::metricCounter("test.counter_serial");
+  obs::Counter &Serial = obs::counter("test.counter_serial");
   for (int T = 0; T < Threads; ++T)
     for (int I = 0; I < PerThread; ++I)
       Serial.add(static_cast<uint64_t>(I % 7 + 1));
 
-  obs::MetricCounter &Par = obs::metricCounter("test.counter_parallel");
+  obs::Counter &Par = obs::counter("test.counter_parallel");
   obs::Histogram &HPar = obs::histogram("test.hist_parallel");
 #ifdef _OPENMP
 #pragma omp parallel num_threads(Threads)
@@ -200,11 +211,14 @@ TEST_F(MetricsTest, GaugeSourcesSumAcrossRegistrationsAndUnregister) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(MetricsTest, JsonSnapshotRoundTripsThroughParser) {
-  obs::metricCounter("test.rt_counter").add(3);
+  obs::counter("test.rt_counter").add(3);
   obs::gauge("test.rt_gauge").set(0.5);
-  Histogram &H = obs::histogram("pipeline.stage.extraction");
-  for (uint64_t V = 1; V <= 100; ++V)
+  Histogram &H = obs::histogram("pipeline.stage.extraction_ns");
+  Histogram &Rows = obs::histogram("test.rt_rows"); // not _ns: raw unit
+  for (uint64_t V = 1; V <= 100; ++V) {
     H.record(V * 1000);
+    Rows.record(V);
+  }
 
   json::ParseResult P = json::parse(obs::metricsJSON());
   ASSERT_TRUE(P.Ok) << P.Error;
@@ -216,7 +230,7 @@ TEST_F(MetricsTest, JsonSnapshotRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(Root.get("gauges")->get("test.rt_gauge")->asDouble(), 0.5);
 
   const json::Value *HJ =
-      Root.get("histograms")->get("pipeline.stage.extraction");
+      Root.get("histograms")->get("pipeline.stage.extraction_ns");
   ASSERT_NE(HJ, nullptr);
   EXPECT_EQ(HJ->get("count")->asInt(), 100);
   double P50 = HJ->get("p50_ms")->asDouble();
@@ -224,6 +238,20 @@ TEST_F(MetricsTest, JsonSnapshotRoundTripsThroughParser) {
   EXPECT_NEAR(P50, 0.050, 0.050 * 0.125); // 50us median, ms units
   ASSERT_NE(HJ->get("p95_ms"), nullptr);
   ASSERT_NE(HJ->get("p99_ms"), nullptr);
+  EXPECT_EQ(HJ->get("p50"), nullptr);
+
+  // A histogram not named *_ns exports its recorded values unconverted,
+  // under unit-free keys.
+  const json::Value *RJ = Root.get("histograms")->get("test.rt_rows");
+  ASSERT_NE(RJ, nullptr);
+  EXPECT_EQ(RJ->get("count")->asInt(), 100);
+  EXPECT_NEAR(RJ->get("p50")->asDouble(), 50.0, 50.0 * 0.125);
+  EXPECT_DOUBLE_EQ(RJ->get("sum")->asDouble(), 5050.0);
+  EXPECT_DOUBLE_EQ(RJ->get("min")->asDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(RJ->get("max")->asDouble(), 100.0);
+  ASSERT_NE(RJ->get("p95"), nullptr);
+  ASSERT_NE(RJ->get("p99"), nullptr);
+  EXPECT_EQ(RJ->get("p50_ms"), nullptr);
 
   // stage_seconds is zero-filled over the schema's stage keys, and the
   // stage we recorded shows up converted to seconds.
@@ -236,10 +264,11 @@ TEST_F(MetricsTest, JsonSnapshotRoundTripsThroughParser) {
 }
 
 TEST_F(MetricsTest, PrometheusTextEscapingAndShape) {
-  obs::metricCounter("engine.kernel.hits").add(2);
-  obs::metricCounter("weird name-100%").add(5);
+  obs::counter("engine.kernel.hits").add(2);
+  obs::counter("weird name-100%").add(5);
   obs::gauge("presburger.query_cache.hit_rate").set(0.75);
   obs::histogram("guard.run_ns").record(1000);
+  obs::histogram("test.prom_rows").record(7);
   std::string Text = obs::prometheusText();
 
   // Counter: sanitized name, _total suffix, sds_ prefix.
@@ -261,6 +290,11 @@ TEST_F(MetricsTest, PrometheusTextEscapingAndShape) {
   EXPECT_NE(Text.find("sds_guard_run_ns_count 1"), std::string::npos);
   EXPECT_NE(Text.find("# TYPE sds_guard_run_ns summary"),
             std::string::npos);
+  // A non-_ns histogram keeps its recorded unit.
+  EXPECT_NE(Text.find("sds_test_prom_rows{quantile=\"0.5\"} 7\n"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("sds_test_prom_rows_sum 7\n"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,15 +348,173 @@ TEST_F(MetricsTest, FlightJsonEmbedsInMetricsReport) {
 }
 
 TEST_F(MetricsTest, ResetMetricsZeroesEverything) {
-  obs::metricCounter("test.reset_c").add(4);
+  obs::counter("test.reset_c").add(4);
   obs::gauge("test.reset_g").set(2.0);
   obs::histogram("test.reset_h").record(100);
   obs::flightRecord(obs::FlightSeverity::Info, "test", "x");
   obs::resetMetrics();
-  EXPECT_EQ(obs::metricCounter("test.reset_c").value(), 0u);
+  EXPECT_EQ(obs::counter("test.reset_c").value(), 0u);
   EXPECT_EQ(obs::gauge("test.reset_g").value(), 0.0);
   EXPECT_EQ(obs::histogram("test.reset_h").count(), 0u);
   EXPECT_TRUE(obs::snapshotFlight().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// One tally, one place
+//===----------------------------------------------------------------------===//
+
+/// The named counter's value in a snapshot, or nullopt if unregistered.
+std::optional<uint64_t> counterIn(const obs::MetricsSnapshot &S,
+                                  const std::string &Name) {
+  for (const auto &[N, V] : S.Counters)
+    if (N == Name)
+      return V;
+  return std::nullopt;
+}
+
+/// Each field's gauge in a fresh snapshot equals that field summed over
+/// the live instances' stats() (sources registered under one name sum),
+/// and no counter of the same name counts the event a second time.
+template <typename StatsT, size_t N>
+void expectGaugesSumFields(
+    const std::pair<const char *, uint64_t StatsT::*> (&Fields)[N],
+    const std::vector<StatsT> &Live) {
+  obs::MetricsSnapshot S = obs::snapshotMetrics();
+  for (const auto &[Name, F] : Fields) {
+    double Want = 0;
+    for (const StatsT &St : Live)
+      Want += static_cast<double>(St.*F);
+    double Got = -1;
+    for (const auto &[G, V] : S.Gauges)
+      if (G == Name)
+        Got = V;
+    EXPECT_EQ(Got, Want) << Name;
+    EXPECT_EQ(counterIn(S, Name), std::nullopt) << Name;
+  }
+}
+
+TEST_F(MetricsTest, CountersCountWithTracingAndMetricsOff) {
+  obs::setMetricsEnabled(false);
+  obs::setEnabled(false);
+  obs::counter("test.disabled_counter").add(5);
+  obs::counter("test.disabled").add(100);
+  EXPECT_EQ(obs::counter("test.disabled_counter").value(), 5u);
+  EXPECT_EQ(obs::counter("test.disabled").value(), 100u);
+
+  // The presburger Stats views read the counters a snapshot exports.
+  presburger::clearQueryCache();
+  (void)artifact::compile(kernels::gaussSeidelCSR(), {});
+  // One pivot-budget and one deadline exhaustion, so those views are
+  // compared on nonzero values too.
+  presburger::setPivotBudget(1);
+  presburger::Simplex LP(2);
+  LP.addInequality({1, 0, -5}); // x >= 5
+  LP.addInequality({0, 1, -7}); // y >= 7
+  EXPECT_EQ(LP.checkFeasible(), presburger::LPStatus::Error);
+  presburger::setPivotBudget(0);
+  {
+    presburger::ScopedDeadline D(presburger::ScopedDeadline::fromNow(0));
+    presburger::BasicSet B(1);
+    B.addInequality({1, 0});   // x >= 0
+    B.addInequality({-1, 10}); // x <= 10
+    EXPECT_EQ(B.isEmpty(), presburger::Ternary::Unknown);
+  }
+  auto Views = [] {
+    presburger::QueryCacheStats Q = presburger::queryCacheStats();
+    presburger::PrefilterStats P = presburger::prefilterStats();
+    return std::vector<std::pair<const char *, uint64_t>>{
+        {"basicset.cache_hits", Q.Hits},
+        {"basicset.cache_misses", Q.Misses},
+        {"basicset.cache_core_subsume", Q.CoreSubsumptionHits},
+        {"basicset.prefilter_gcd", P.GcdRejects},
+        {"basicset.prefilter_eq_conflict", P.EqConflictRejects},
+        {"basicset.prefilter_interval", P.IntervalRejects},
+        {"basicset.prefilter_subset_syntactic", P.SyntacticSubsetHits},
+        {"basicset.prefilter_miss", P.Misses},
+        {"simplex.budget_exhausted", presburger::pivotBudgetExhaustions()},
+        {"basicset.deadline_exhausted", presburger::deadlineExhaustions()},
+    };
+  };
+  obs::MetricsSnapshot S = obs::snapshotMetrics();
+  EXPECT_EQ(counterIn(S, "test.disabled_counter"), 5u);
+  for (const auto &[Name, View] : Views())
+    EXPECT_EQ(counterIn(S, Name), View) << Name;
+  EXPECT_GT(presburger::queryCacheStats().Hits, 0u);
+  EXPECT_GT(presburger::queryCacheStats().Misses, 0u);
+  EXPECT_EQ(presburger::pivotBudgetExhaustions(), 1u);
+  EXPECT_EQ(presburger::deadlineExhaustions(), 1u);
+  EXPECT_GT(counterIn(S, "simplex.solves").value_or(0), 0u);
+
+  // clearQueryCache() zeroes exactly those counters.
+  presburger::clearQueryCache();
+  S = obs::snapshotMetrics();
+  for (const auto &[Name, View] : Views()) {
+    EXPECT_EQ(View, 0u) << Name;
+    EXPECT_EQ(counterIn(S, Name), 0u) << Name;
+  }
+  EXPECT_GT(counterIn(S, "simplex.solves").value_or(0), 0u);
+  EXPECT_EQ(counterIn(S, "test.disabled_counter"), 5u);
+}
+
+TEST_F(MetricsTest, StatsFieldsSumAcrossLiveInstancesAsGauges) {
+  using engine::EngineStats;
+  const std::pair<const char *, uint64_t EngineStats::*> EngineFields[] = {
+      {"engine.kernel_warm", &EngineStats::KernelWarm},
+      {"engine.kernel_cold", &EngineStats::KernelCold},
+      {"engine.kernel_loaded", &EngineStats::KernelLoaded},
+      {"engine.kernel_speculated", &EngineStats::KernelSpeculated},
+      {"engine.matrix_warm", &EngineStats::MatrixWarm},
+      {"engine.matrix_cold", &EngineStats::MatrixCold},
+      {"engine.matrix_evicted", &EngineStats::MatrixEvicted},
+  };
+  auto Install = [](engine::Engine &E, const std::string &Name) {
+    artifact::CompiledKernel CK;
+    CK.KernelName = Name;
+    ASSERT_TRUE(E.installArtifact(std::move(CK)).ok());
+  };
+  engine::Engine EA;
+  Install(EA, "a");
+  (void)EA.compiled(kernels::spmvCSR());
+  (void)EA.compiled(kernels::spmvCSR());
+  EXPECT_EQ(EA.stats().KernelWarm, 1u);
+  expectGaugesSumFields(EngineFields, {EA.stats()});
+  engine::Engine EB;
+  Install(EB, "b1");
+  Install(EB, "b2");
+  expectGaugesSumFields(EngineFields, {EA.stats(), EB.stats()});
+
+  using serve::ServerStats;
+  const std::pair<const char *, uint64_t ServerStats::*> ServerFields[] = {
+      {"serve.submitted", &ServerStats::Submitted},
+      {"serve.completed", &ServerStats::Completed},
+      {"serve.warm", &ServerStats::Warm},
+      {"serve.cold", &ServerStats::Cold},
+      {"serve.store_warm", &ServerStats::StoreWarm},
+      {"serve.degraded", &ServerStats::Degraded},
+      {"serve.coalesced", &ServerStats::Coalesced},
+      {"serve.shed_queue", &ServerStats::ShedQueue},
+      {"serve.shed_deadline", &ServerStats::ShedDeadline},
+      {"serve.errors", &ServerStats::Errors},
+      {"serve.kernel_coalesced", &ServerStats::KernelCoalesced},
+      {"serve.speculated", &ServerStats::Speculated},
+      {"serve.batches", &ServerStats::Batches},
+      {"serve.batch_items", &ServerStats::BatchItems},
+  };
+  // Paused servers with a one-slot queue: every request past the first
+  // is shed at submit, so the tallies move without any analysis work.
+  serve::ServerOptions SO;
+  SO.MaxQueueDepth = 1;
+  SO.NumWorkers = 1;
+  SO.StartPaused = true;
+  serve::Server SA(SO);
+  for (int I = 0; I < 3; ++I)
+    (void)SA.submit({});
+  EXPECT_EQ(SA.stats().ShedQueue, 2u);
+  expectGaugesSumFields(ServerFields, {SA.stats()});
+  serve::Server SB(SO);
+  (void)SB.submitBatch(kernels::spmvCSR(), std::vector<serve::BatchItem>(2));
+  EXPECT_EQ(SB.stats().BatchItems, 2u);
+  expectGaugesSumFields(ServerFields, {SA.stats(), SB.stats()});
 }
 
 } // namespace

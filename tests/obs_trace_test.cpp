@@ -108,14 +108,12 @@ TEST_F(ObsTest, EndClosesOnceAndDestructorIsIdempotent) {
 }
 
 TEST_F(ObsTest, DisabledModeRecordsNothing) {
+  // Spans only: counters count with tracing off (obs_metrics_test).
   obs::setEnabled(false);
-  obs::Counter &C = obs::counter("test.disabled");
-  C.add(100);
   {
     obs::Span S("ghost");
     S.tag("k", "v");
   }
-  EXPECT_EQ(C.value(), 0u);
   EXPECT_TRUE(obs::snapshotEvents().empty());
 }
 
@@ -158,18 +156,6 @@ TEST_F(ObsTest, ChromeTraceJSONReparsesWithExpectedShape) {
   EXPECT_EQ(Args->get("count")->asString(), "3");
 
   EXPECT_EQ(Root.get("counters")->get("simplex.pivots")->asDouble(), 42.0);
-}
-
-TEST_F(ObsTest, StatsReportAggregatesSpansByName) {
-  for (int I = 0; I < 3; ++I)
-    obs::Span S("repeated");
-  json::ParseResult P = json::parse(obs::statsJSON());
-  ASSERT_TRUE(P.Ok) << P.Error;
-  const json::Value *Sp = P.Val.get("spans")->get("repeated");
-  ASSERT_NE(Sp, nullptr);
-  EXPECT_EQ(Sp->get("count")->asDouble(), 3.0);
-  EXPECT_GE(Sp->get("total_ms")->asDouble(), 0.0);
-  EXPECT_LE(Sp->get("min_ms")->asDouble(), Sp->get("max_ms")->asDouble());
 }
 
 TEST_F(ObsTest, SpansFromConcurrentThreadsGetDistinctThreadIds) {
