@@ -4,7 +4,7 @@
 //
 // The headline measurement for the inverted property flow: for every
 // kernel of Table 2, throw away the hand-declared Table 1 properties,
-// profile the bound arrays once (sds::infer, O(n + nnz)), analyze
+// profile the bound arrays (sds::infer, O(n + nnz) per candidate), analyze
 // speculatively against the profiler-confirmed set, and demand that the
 // dependence graph served at runtime is *bit-identical* to the one the
 // declared analysis produces — same nodes, same edge lists, edge for
@@ -110,7 +110,8 @@ int main(int argc, char **argv) {
 
   bench::BenchReport Report("infer");
   unsigned Mismatches = 0;
-  uint64_t TotalConfirmed = 0, TotalCited = 0, TotalEliminated = 0;
+  uint64_t TotalProposed = 0, TotalConfirmed = 0, TotalRefuted = 0;
+  uint64_t TotalCited = 0, TotalEliminated = 0;
   for (Target &T : targets(N, Heavy)) {
     std::fprintf(stderr, "[infer] %s: declared analysis...\n", T.Key.c_str());
     deps::PipelineOptions Base;
@@ -164,16 +165,21 @@ int main(int argc, char **argv) {
     Report.set(T.Key + "_proposed", static_cast<uint64_t>(Inf.Proposed));
     Report.set(T.Key + "_confirmed",
                static_cast<uint64_t>(Inf.ConfirmedCount));
+    Report.set(T.Key + "_refuted", static_cast<uint64_t>(Inf.RefutedCount));
     Report.set(T.Key + "_cited", static_cast<uint64_t>(Cited.size()));
     Report.set(T.Key + "_eliminated", static_cast<uint64_t>(ElimSpec));
     Report.set(T.Key + "_remediable", static_cast<uint64_t>(Remediable));
     Report.set(T.Key + "_recovered", static_cast<uint64_t>(Recovered ? 1 : 0));
+    TotalProposed += Inf.Proposed;
     TotalConfirmed += Inf.ConfirmedCount;
+    TotalRefuted += Inf.RefutedCount;
     TotalCited += Cited.size();
     TotalEliminated += ElimSpec;
   }
 
+  Report.set("total_proposed", TotalProposed);
   Report.set("total_confirmed", TotalConfirmed);
+  Report.set("total_refuted", TotalRefuted);
   Report.set("total_cited", TotalCited);
   Report.set("total_eliminated", TotalEliminated);
   Report.set("graph_mismatches", static_cast<uint64_t>(Mismatches));

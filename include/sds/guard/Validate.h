@@ -16,7 +16,10 @@
 // Checkers run over a codegen::UFEnvironment — the same binding the
 // inspectors execute against — so whatever arrays the inspector would
 // read are exactly the arrays being vetted. Guarded.h builds on this to
-// fall back to unsimplified inspectors when validation fails.
+// fall back to unsimplified inspectors when validation fails. The same
+// checkers are the only property evaluator in the project: speculative
+// inference (infer/Infer.h) confirms each of its candidates with
+// checkProperty, so it confirms exactly what the guard later checks.
 //
 // Every checker carries a work cap (a small multiple of the bound array
 // sizes): on honest inputs each check is a linear scan, but a corrupted
@@ -99,6 +102,14 @@ struct ValidationReport {
   std::string summary() const;
 };
 
+/// Check one property, or one domain/range declaration, against the
+/// arrays bound in `Env`, under the work cap. PropertyCheck::Base is the
+/// declaration's ir::labelBase.
+PropertyCheck checkProperty(const ir::IndexArrayProperty &P,
+                            const codegen::UFEnvironment &Env);
+PropertyCheck checkProperty(const ir::DomainRangeDecl &D,
+                            const codegen::UFEnvironment &Env);
+
 /// Check every declared property and domain/range declaration of `PS`
 /// against the arrays bound in `Env` (spans only — function-bound arrays
 /// have no extent and report Skipped). Cost is O(n + nnz) per property on
@@ -117,11 +128,6 @@ ValidationReport
 validateProperties(const ir::PropertySet &PS,
                    const codegen::UFEnvironment &Env,
                    const std::set<std::string> &CitedBases);
-
-/// The assertion-label base of a declaration (what PropertySet::
-/// assertions() uses as Label, minus application-mode suffixes).
-std::string propertyLabelBase(const ir::IndexArrayProperty &P);
-std::string propertyLabelBase(const ir::DomainRangeDecl &D);
 
 } // namespace guard
 } // namespace sds

@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // Inverts the property flow: instead of requiring hand-declared index-array
-// properties (Table 1), a single O(n + nnz) pass over the concrete arrays
-// bound in a codegen::UFEnvironment *proposes* candidate properties for
-// every PropertyKind that holds on this input — monotonicity (all four
-// kinds), injectivity, periodic monotonicity, co-monotonicity,
-// triangularity and the four entry-bound relations, segment pointers,
-// segment-start identities (with maximal-range shrinking to a domain guard
-// when the full domain fails), and domain/range declarations snapped to
-// symbolic parameters.
+// properties (Table 1), inference *proposes* candidate properties over the
+// concrete arrays bound in a codegen::UFEnvironment for every PropertyKind
+// that could hold on this input — monotonicity (all four kinds),
+// injectivity, periodic monotonicity, co-monotonicity, triangularity and
+// the four entry-bound relations, segment pointers, segment-start
+// identities (with maximal-range shrinking to a domain guard when the full
+// domain fails), and domain/range declarations snapped to symbolic
+// parameters — and confirms each one with guard::checkProperty, so it
+// confirms exactly what the guard later checks. Only the search for a
+// SegmentStartIdentity range is inference's own.
 //
 // Confirmed candidates carry ir::PropertyTier::Inferred: downstream they
 // are speculation, not knowledge. The pipeline unions them with declared
@@ -37,21 +39,7 @@
 namespace sds {
 namespace infer {
 
-/// Knobs for the profiler.
-struct InferOptions {
-  /// When a property fails on the full domain, try to recover a
-  /// domain-guarded variant on the maximal range where it holds
-  /// (SegmentStartIdentity only — the one kind whose declared form
-  /// carries a guard).
-  bool ShrinkDomains = true;
-  /// Record disconfirmed candidates (tier Refuted) in `Refuted`.
-  bool KeepRefuted = true;
-  /// Also propose domain/range declarations with bounds snapped to
-  /// environment parameters.
-  bool InferDomainRanges = true;
-};
-
-/// What one profiling pass concluded about an environment.
+/// What one inference pass concluded about an environment.
 struct InferenceResult {
   /// Confirmed candidates, every entry tier Inferred. Union this with the
   /// kernel's declared set (declared wins on duplicates) to speculate.
@@ -79,12 +67,11 @@ struct InferenceResult {
 /// Profile every span-bound array of `Env` and propose/confirm candidate
 /// properties. Deterministic: arrays are visited in name order and every
 /// verdict depends only on the bound data and parameters. Cost is
-/// O(n + nnz) per candidate with a constant number of candidates per
-/// array pair. Emits `infer.props_proposed`, `infer.props_confirmed`,
-/// `infer.props_refuted` and `infer.domains_shrunk` counters plus one
-/// flight event per pass.
-InferenceResult inferProperties(const codegen::UFEnvironment &Env,
-                                const InferOptions &Opts = {});
+/// O(n + nnz) per candidate (the guard's work cap bounds each check) with
+/// a constant number of candidates per array pair. Emits
+/// `infer.props_proposed`, `infer.props_confirmed`, `infer.props_refuted`
+/// and `infer.domains_shrunk` counters plus one flight event per pass.
+InferenceResult inferProperties(const codegen::UFEnvironment &Env);
 
 } // namespace infer
 } // namespace sds

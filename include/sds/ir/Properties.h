@@ -116,6 +116,13 @@ struct DomainRangeDecl {
   PropertyTier Tier = PropertyTier::Declared;
 };
 
+/// The assertion-label base of a declaration: "kind(fn)", "kind(fn,
+/// other)" or "domain_range(fn)". It prefixes every UniversalAssertion::
+/// Label that assertions() emits for the declaration, so unsat cores,
+/// guard checks and inference fingerprints all name a property by it.
+std::string labelBase(const IndexArrayProperty &P);
+std::string labelBase(const DomainRangeDecl &D);
+
 /// The user-supplied environment of index-array knowledge for one kernel.
 class PropertySet {
 public:

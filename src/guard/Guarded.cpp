@@ -234,7 +234,7 @@ GuardedResult runGuarded(const std::string &KernelName,
   } else {
     for (const ir::IndexArrayProperty &P : PS.properties())
       if (P.Tier == ir::PropertyTier::Inferred)
-        RemedyBases.insert(propertyLabelBase(P));
+        RemedyBases.insert(ir::labelBase(P));
   }
   // Inferred domain/range declarations are remedies whether or not any
   // core cites them: instantiation bakes domain and range facts into every
@@ -244,7 +244,7 @@ GuardedResult runGuarded(const std::string &KernelName,
   // citation-gated — they are knowledge, not speculation.
   for (const ir::DomainRangeDecl &D : PS.domainRanges())
     if (D.Tier == ir::PropertyTier::Inferred)
-      RemedyBases.insert(propertyLabelBase(D));
+      RemedyBases.insert(ir::labelBase(D));
 
   if (Opts.Mode != GuardMode::Off) {
     R.Validated = true;

@@ -409,8 +409,10 @@ void checkSegmentStartIdentity(Checker &Ck, const std::string &FName,
   }
 }
 
-PropertyCheck checkOne(const ir::IndexArrayProperty &P,
-                       const codegen::UFEnvironment &Env) {
+} // namespace
+
+PropertyCheck checkProperty(const ir::IndexArrayProperty &P,
+                            const codegen::UFEnvironment &Env) {
   std::string Label = ir::propertyKindName(P.K) + "(" + P.Fn;
   if (!P.Other.empty())
     Label += "; " + P.Other;
@@ -422,7 +424,7 @@ PropertyCheck checkOne(const ir::IndexArrayProperty &P,
       8 * static_cast<uint64_t>(std::max<int64_t>(0, F.Size) +
                                 std::max<int64_t>(0, O.Size)) +
       1024;
-  Checker Ck(Label, P.Fn, propertyLabelBase(P), Cap);
+  Checker Ck(Label, P.Fn, ir::labelBase(P), Cap);
 
   if (!F.bound()) {
     Ck.skip("array '" + P.Fn + "' is not bound as a span");
@@ -501,13 +503,13 @@ PropertyCheck checkOne(const ir::IndexArrayProperty &P,
   return Ck.take();
 }
 
-PropertyCheck checkDomainRange(const ir::DomainRangeDecl &D,
-                               const codegen::UFEnvironment &Env) {
-  std::string Label = "domain_range(" + D.Fn + ")";
+PropertyCheck checkProperty(const ir::DomainRangeDecl &D,
+                            const codegen::UFEnvironment &Env) {
+  std::string Base = ir::labelBase(D);
   ArrayRef F = lookup(Env, D.Fn);
   uint64_t Cap = 8 * static_cast<uint64_t>(std::max<int64_t>(0, F.Size)) +
                  1024;
-  Checker Ck(Label, D.Fn, propertyLabelBase(D), Cap);
+  Checker Ck(Base, D.Fn, Base, Cap);
   if (!F.bound()) {
     Ck.skip("array '" + D.Fn + "' is not bound as a span");
     return Ck.take();
@@ -547,20 +549,6 @@ PropertyCheck checkDomainRange(const ir::DomainRangeDecl &D,
   return Ck.take();
 }
 
-} // namespace
-
-std::string propertyLabelBase(const ir::IndexArrayProperty &P) {
-  // Must match the base UniversalAssertion::Label that PropertySet::
-  // assertions() emits (Properties.cpp) — note the ", " separator, unlike
-  // the "; " used in the human-facing PropertyCheck::Property label.
-  return ir::propertyKindName(P.K) + "(" + P.Fn +
-         (P.Other.empty() ? "" : ", " + P.Other) + ")";
-}
-
-std::string propertyLabelBase(const ir::DomainRangeDecl &D) {
-  return "domain_range(" + D.Fn + ")";
-}
-
 namespace {
 
 /// Shared body of both validateProperties overloads. A null `CitedBases`
@@ -587,20 +575,20 @@ ValidationReport runValidation(const ir::PropertySet &PS,
     // they cannot be cited and a Fail here would be meaningless noise.
     if (P.Tier == ir::PropertyTier::Refuted)
       continue;
-    if (CitedBases && !CitedBases->count(propertyLabelBase(P))) {
+    if (CitedBases && !CitedBases->count(ir::labelBase(P))) {
       ++Uncited;
       continue;
     }
-    R.Checks.push_back(checkOne(P, Env));
+    R.Checks.push_back(checkProperty(P, Env));
   }
   for (const ir::DomainRangeDecl &D : PS.domainRanges()) {
     if (D.Tier == ir::PropertyTier::Refuted)
       continue;
-    if (CitedBases && !CitedBases->count(propertyLabelBase(D))) {
+    if (CitedBases && !CitedBases->count(ir::labelBase(D))) {
       ++Uncited;
       continue;
     }
-    R.Checks.push_back(checkDomainRange(D, Env));
+    R.Checks.push_back(checkProperty(D, Env));
   }
   R.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)

@@ -6,6 +6,7 @@
 
 #include "sds/infer/Infer.h"
 
+#include "sds/guard/Validate.h"
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
@@ -13,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 namespace sds {
 namespace infer {
@@ -25,44 +25,15 @@ using ir::PropertyTier;
 
 namespace {
 
-/// A bound array as a sized span (mirrors the guard's view — the profiler
-/// proposes exactly what the validators later re-check).
-struct ArrayRef {
-  const int *Data = nullptr;
-  int64_t Size = 0;
-  std::string Name;
-
-  bool inRange(int64_t I) const { return I >= 0 && I < Size; }
-  int64_t operator[](int64_t I) const { return Data[I]; }
-};
-
-/// Adjacent-scan facts about one array, computed in a single pass.
+/// One span-bound array: its extent, value range, and whether it is
+/// strictly increasing (the guard's checker supplies that verdict).
 struct ArrayProfile {
-  ArrayRef A;
-  bool NonDec = true, StrictInc = true, NonInc = true, StrictDec = true;
+  std::string Name;
+  const std::vector<int> *Data = nullptr;
+  int64_t Size = 0;
   int64_t Min = 0, Max = 0;
+  bool StrictInc = false;
 };
-
-ArrayProfile profileArray(ArrayRef A, uint64_t &Positions) {
-  ArrayProfile P;
-  P.A = A;
-  if (A.Size == 0) {
-    P.NonDec = P.StrictInc = P.NonInc = P.StrictDec = false;
-    return P;
-  }
-  P.Min = P.Max = A[0];
-  for (int64_t I = 0; I + 1 < A.Size; ++I) {
-    ++Positions;
-    int64_t X = A[I], Y = A[I + 1];
-    P.NonDec &= X <= Y;
-    P.StrictInc &= X < Y;
-    P.NonInc &= X >= Y;
-    P.StrictDec &= X > Y;
-    P.Min = std::min(P.Min, Y);
-    P.Max = std::max(P.Max, Y);
-  }
-  return P;
-}
 
 /// Snap a concrete value to a symbolic parameter expression: an exact
 /// parameter match wins, then `param - 1`; otherwise the constant itself.
@@ -100,10 +71,20 @@ Expr snapUpperBound(int64_t V, const codegen::UFEnvironment &Env) {
   return Best;
 }
 
-/// The candidate-accounting context of one inference pass.
+/// The candidate-accounting context of one inference pass. Every
+/// candidate is confirmed or refuted by guard::checkProperty, the same
+/// evaluator the guard later runs; Skipped and Exhausted outcomes count as
+/// refutations, so nothing unverified is confirmed.
 class Session {
 public:
-  Session(const InferOptions &Opts, InferenceResult &R) : Opts(Opts), R(R) {}
+  Session(const codegen::UFEnvironment &Env, InferenceResult &R)
+      : Env(Env), R(R) {}
+
+  template <typename Decl> bool holds(const Decl &D) {
+    guard::PropertyCheck C = guard::checkProperty(D, Env);
+    R.Positions += C.Positions;
+    return C.Outcome == guard::CheckOutcome::Pass;
+  }
 
   void confirm(IndexArrayProperty P) {
     ++R.Proposed;
@@ -115,21 +96,44 @@ public:
   void refute(IndexArrayProperty P) {
     ++R.Proposed;
     ++R.RefutedCount;
-    if (!Opts.KeepRefuted)
-      return;
     P.Tier = PropertyTier::Refuted;
     R.Refuted.add(std::move(P));
   }
 
-  void verdict(bool Holds, IndexArrayProperty P) {
+  /// Check `P`, then confirm or refute it. Returns the verdict.
+  bool propose(IndexArrayProperty P) {
+    bool Holds = holds(P);
     if (Holds)
       confirm(std::move(P));
     else
       refute(std::move(P));
+    return Holds;
+  }
+
+  /// Strict implies weak: confirm the strict form when it holds, otherwise
+  /// propose the weak one (refuted when it fails too).
+  void proposeStrongest(IndexArrayProperty Strict, IndexArrayProperty Weak) {
+    if (holds(Strict))
+      confirm(std::move(Strict));
+    else
+      propose(std::move(Weak));
+  }
+
+  void propose(ir::DomainRangeDecl D) {
+    ++R.Proposed;
+    if (holds(D)) {
+      ++R.ConfirmedCount;
+      D.Tier = PropertyTier::Inferred;
+      R.Confirmed.addDomainRange(std::move(D));
+    } else {
+      ++R.RefutedCount;
+      D.Tier = PropertyTier::Refuted;
+      R.Refuted.addDomainRange(std::move(D));
+    }
   }
 
 private:
-  const InferOptions &Opts;
+  const codegen::UFEnvironment &Env;
   InferenceResult &R;
 };
 
@@ -138,83 +142,20 @@ IndexArrayProperty prop(PropertyKind K, const std::string &Fn,
   return {K, Fn, Other, {}, {}, PropertyTier::Inferred};
 }
 
-/// Is `F` injective? Strict monotonicity (either direction) answers for
-/// free; otherwise a first-seen hash scan.
-bool isInjective(const ArrayProfile &F, uint64_t &Positions) {
-  if (F.StrictInc || F.StrictDec)
-    return true;
-  std::unordered_set<int64_t> Seen;
-  Seen.reserve(static_cast<size_t>(F.A.Size));
-  for (int64_t I = 0; I < F.A.Size; ++I) {
-    ++Positions;
-    if (!Seen.insert(F.A[I]).second)
-      return false;
-  }
-  return true;
-}
-
-/// Single windowed pass over (F, Ptr): per-segment strict monotonicity and
-/// the four entry/segment bound relations, all at once. Windows that leave
-/// F's bounds disqualify every windowed property.
-struct WindowedVerdicts {
-  bool WindowsValid = true; ///< every non-empty window within F's bounds
-  bool Periodic = true;
-  bool LE = true, GE = true, LT = true, GT = true;
-};
-
-WindowedVerdicts scanWindows(const ArrayProfile &F, const ArrayProfile &Ptr,
-                             uint64_t &Positions) {
-  WindowedVerdicts V;
-  for (int64_t X = 0; X + 1 < Ptr.A.Size; ++X) {
-    ++Positions;
-    int64_t Lo = Ptr.A[X], Hi = Ptr.A[X + 1];
-    if (Lo >= Hi)
-      continue;
-    if (Lo < 0 || Hi > F.A.Size) {
-      V.WindowsValid = false;
-      V.Periodic = V.LE = V.GE = V.LT = V.GT = false;
-      return V;
-    }
-    for (int64_t P = Lo; P < Hi; ++P) {
-      ++Positions;
-      int64_t E = F.A[P];
-      V.LE &= E <= X;
-      V.GE &= E >= X;
-      V.LT &= E < X;
-      V.GT &= E > X;
-      if (P + 1 < Hi)
-        V.Periodic &= E < F.A[P + 1];
-    }
-  }
-  return V;
-}
-
-/// SegmentPointer: Ptr(x) <= F(x) < Ptr(x+1) for every x in F's domain.
-bool scanSegmentPointer(const ArrayProfile &F, const ArrayProfile &Ptr,
-                        uint64_t &Positions) {
-  if (Ptr.A.Size < F.A.Size + 1)
-    return false;
-  for (int64_t X = 0; X < F.A.Size; ++X) {
-    ++Positions;
-    if (!(Ptr.A[X] <= F.A[X] && F.A[X] < Ptr.A[X + 1]))
-      return false;
-  }
-  return true;
-}
-
 /// SegmentStartIdentity: the maximal contiguous range [Lo, Hi) of segment
 /// indices where F(Ptr(x)) == x. Returns false when no segment satisfies
 /// it at all.
 bool scanSegmentStart(const ArrayProfile &F, const ArrayProfile &Ptr,
                       uint64_t &Positions, int64_t &BestLo, int64_t &BestHi) {
-  int64_t Segs = Ptr.A.Size - 1;
+  const std::vector<int> &FA = *F.Data, &PA = *Ptr.Data;
+  int64_t Segs = Ptr.Size - 1;
   BestLo = BestHi = 0;
   int64_t RunLo = 0;
   bool InRun = false;
   for (int64_t X = 0; X < Segs; ++X) {
     ++Positions;
-    int64_t P = Ptr.A[X];
-    bool Holds = F.A.inRange(P) && F.A[P] == X;
+    int64_t P = PA[X];
+    bool Holds = P >= 0 && P < F.Size && FA[P] == X;
     if (Holds && !InRun) {
       InRun = true;
       RunLo = X;
@@ -231,45 +172,12 @@ bool scanSegmentStart(const ArrayProfile &F, const ArrayProfile &Ptr,
   return BestHi > BestLo;
 }
 
-/// Table-1 Triangular: forall x0, x1: F(x0) < x1 => x0 < O(x1). Suffix-min
-/// over F answers each x1 in O(1) (same algorithm as the guard checker).
-bool scanTriangular(const ArrayProfile &F, const ArrayProfile &O,
-                    uint64_t &Positions) {
-  std::vector<int64_t> SuffMin(static_cast<size_t>(F.A.Size) + 1, INT64_MAX);
-  for (int64_t I = F.A.Size - 1; I >= 0; --I) {
-    ++Positions;
-    SuffMin[static_cast<size_t>(I)] =
-        std::min(SuffMin[static_cast<size_t>(I) + 1], F.A[I]);
-  }
-  for (int64_t X1 = 0; X1 < O.A.Size; ++X1) {
-    ++Positions;
-    int64_t Start = std::clamp<int64_t>(O.A[X1], 0, F.A.Size);
-    if (SuffMin[static_cast<size_t>(Start)] < X1)
-      return false;
-  }
-  return true;
-}
-
-/// CoMonotonic: F(x) <= O(x) for every x in F's domain.
-bool scanCoMonotonic(const ArrayProfile &F, const ArrayProfile &O,
-                     uint64_t &Positions) {
-  if (O.A.Size < F.A.Size)
-    return false;
-  for (int64_t X = 0; X < F.A.Size; ++X) {
-    ++Positions;
-    if (!(F.A[X] <= O.A[X]))
-      return false;
-  }
-  return true;
-}
-
 } // namespace
 
 uint64_t InferenceResult::fingerprint() const {
   std::vector<std::string> Labels;
   for (const IndexArrayProperty &P : Confirmed.properties()) {
-    std::string L = ir::propertyKindName(P.K) + "(" + P.Fn +
-                    (P.Other.empty() ? "" : ", " + P.Other) + ")";
+    std::string L = ir::labelBase(P);
     if (P.GuardLo)
       L += " lo=" + P.GuardLo->str();
     if (P.GuardHi)
@@ -277,7 +185,7 @@ uint64_t InferenceResult::fingerprint() const {
     Labels.push_back(std::move(L));
   }
   for (const ir::DomainRangeDecl &D : Confirmed.domainRanges()) {
-    std::string L = "domain_range(" + D.Fn + ")";
+    std::string L = ir::labelBase(D);
     for (const std::optional<Expr> *B :
          {&D.DomLo, &D.DomHi, &D.RanLo, &D.RanHi})
       L += " " + (*B ? (*B)->str() : std::string("_"));
@@ -301,8 +209,7 @@ std::string InferenceResult::summary() const {
   return Out;
 }
 
-InferenceResult inferProperties(const codegen::UFEnvironment &Env,
-                                const InferOptions &Opts) {
+InferenceResult inferProperties(const codegen::UFEnvironment &Env) {
   static obs::Counter &Passes = obs::counter("infer.passes");
   static obs::Counter &Proposed = obs::counter("infer.props_proposed");
   static obs::Counter &Confirmed = obs::counter("infer.props_confirmed");
@@ -315,125 +222,109 @@ InferenceResult inferProperties(const codegen::UFEnvironment &Env,
   auto T0 = std::chrono::steady_clock::now();
 
   InferenceResult R;
-  Session S(Opts, R);
+  Session S(Env, R);
 
-  // Profile every span-bound array once (std::map: name order, so the
-  // result is deterministic for a given binding).
+  // Profile every span-bound array (std::map: name order, so the result
+  // is deterministic for a given binding).
   std::vector<ArrayProfile> Profiles;
   for (const auto &[Name, Span] : Env.Spans) {
     if (!Span)
       continue;
-    ArrayRef A{Span->data(), static_cast<int64_t>(Span->size()), Name};
-    Profiles.push_back(profileArray(A, R.Positions));
+    ArrayProfile A{Name, Span.get(), static_cast<int64_t>(Span->size())};
+    if (A.Size > 0) {
+      auto [Lo, Hi] = std::minmax_element(Span->begin(), Span->end());
+      A.Min = *Lo;
+      A.Max = *Hi;
+      R.Positions += static_cast<uint64_t>(A.Size);
+      A.StrictInc =
+          S.holds(prop(PropertyKind::StrictMonotonicIncreasing, Name));
+    }
+    Profiles.push_back(std::move(A));
   }
 
   for (const ArrayProfile &F : Profiles) {
-    if (F.A.Size == 0)
+    if (F.Size == 0)
       continue;
-    const std::string &Fn = F.A.Name;
+    const std::string &Fn = F.Name;
 
     // Monotonicity: propose only the strongest increasing and decreasing
     // forms that hold (strict subsumes weak via the [weak] expansion), and
-    // record the weak form as refuted only when even it fails.
+    // record the weak increasing form as refuted only when even it fails.
     if (F.StrictInc)
       S.confirm(prop(PropertyKind::StrictMonotonicIncreasing, Fn));
-    else if (F.NonDec)
-      S.confirm(prop(PropertyKind::MonotonicIncreasing, Fn));
     else
-      S.refute(prop(PropertyKind::MonotonicIncreasing, Fn));
-    if (F.StrictDec)
+      S.propose(prop(PropertyKind::MonotonicIncreasing, Fn));
+    bool StrictDec =
+        S.holds(prop(PropertyKind::StrictMonotonicDecreasing, Fn));
+    if (StrictDec)
       S.confirm(prop(PropertyKind::StrictMonotonicDecreasing, Fn));
-    else if (F.NonInc && F.A.Size > 1)
+    else if (F.Size > 1 &&
+             S.holds(prop(PropertyKind::MonotonicDecreasing, Fn)))
       S.confirm(prop(PropertyKind::MonotonicDecreasing, Fn));
 
     // Injectivity only when no strict monotonicity already implies a
     // unique-position story (keeps the speculated set lean).
-    if (!F.StrictInc && !F.StrictDec)
-      S.verdict(isInjective(F, R.Positions), prop(PropertyKind::Injective, Fn));
+    if (!F.StrictInc && !StrictDec)
+      S.propose(prop(PropertyKind::Injective, Fn));
 
     for (const ArrayProfile &P : Profiles) {
       if (&P == &F)
         continue;
+      const std::string &Pn = P.Name;
 
       // Ptr-like companions: strictly increasing, non-negative start, at
       // least one segment. Everything windowed hangs off such a P.
-      bool PtrLike = P.StrictInc && P.A.Size >= 2 && P.Min >= 0;
-      if (PtrLike) {
-        WindowedVerdicts W = scanWindows(F, P, R.Positions);
-        S.verdict(W.Periodic,
-                  prop(PropertyKind::PeriodicMonotonic, Fn, P.A.Name));
-        if (W.WindowsValid) {
-          // The four bound relations: strict implies weak, so propose the
-          // strongest per direction and refute the weak form only when
-          // both fail.
-          if (W.LT)
-            S.confirm(prop(PropertyKind::TriangularEntriesLT, Fn, P.A.Name));
-          else if (W.LE)
-            S.confirm(prop(PropertyKind::TriangularEntriesLE, Fn, P.A.Name));
-          else
-            S.refute(prop(PropertyKind::TriangularEntriesLE, Fn, P.A.Name));
-          if (W.GT)
-            S.confirm(prop(PropertyKind::TriangularEntriesGT, Fn, P.A.Name));
-          else if (W.GE)
-            S.confirm(prop(PropertyKind::TriangularEntriesGE, Fn, P.A.Name));
-          else
-            S.refute(prop(PropertyKind::TriangularEntriesGE, Fn, P.A.Name));
+      if (P.StrictInc && P.Size >= 2 && P.Min >= 0) {
+        S.propose(prop(PropertyKind::PeriodicMonotonic, Fn, Pn));
+        // The four entry-bound relations only when every window lies
+        // inside F; strict implies weak, so propose the strongest per
+        // direction.
+        if (P.Max <= F.Size) {
+          S.proposeStrongest(prop(PropertyKind::TriangularEntriesLT, Fn, Pn),
+                             prop(PropertyKind::TriangularEntriesLE, Fn, Pn));
+          S.proposeStrongest(prop(PropertyKind::TriangularEntriesGT, Fn, Pn),
+                             prop(PropertyKind::TriangularEntriesGE, Fn, Pn));
         }
+        if (P.Size >= F.Size + 1)
+          S.propose(prop(PropertyKind::SegmentPointer, Fn, Pn));
 
-        if (P.A.Size >= F.A.Size + 1)
-          S.verdict(scanSegmentPointer(F, P, R.Positions),
-                    prop(PropertyKind::SegmentPointer, Fn, P.A.Name));
-
+        // SegmentStartIdentity over every segment, or — maximal-range
+        // shrinking — guarded to the longest run where it holds when that
+        // spans at least two segments. Otherwise the unguarded candidate
+        // is proposed and refuted.
         int64_t Lo = 0, Hi = 0;
-        int64_t Segs = P.A.Size - 1;
-        if (scanSegmentStart(F, P, R.Positions, Lo, Hi)) {
-          IndexArrayProperty SSI =
-              prop(PropertyKind::SegmentStartIdentity, Fn, P.A.Name);
-          if (Lo == 0 && Hi == Segs) {
-            SSI.GuardLo = Expr(0);
-            SSI.GuardHi = snapToParam(Hi, Env);
-            S.confirm(std::move(SSI));
-          } else if (Opts.ShrinkDomains && Hi - Lo >= 2) {
-            // Maximal-range shrinking: the identity holds on a proper
-            // subrange — speculate the guarded variant.
-            SSI.GuardLo = snapToParam(Lo, Env);
-            SSI.GuardHi = snapToParam(Hi, Env);
-            ++R.DomainsShrunk;
-            S.confirm(std::move(SSI));
-          } else {
-            S.refute(std::move(SSI));
-          }
-        } else if (Segs > 0) {
-          S.refute(prop(PropertyKind::SegmentStartIdentity, Fn, P.A.Name));
+        bool Found = scanSegmentStart(F, P, R.Positions, Lo, Hi);
+        bool Full = Found && Lo == 0 && Hi == P.Size - 1;
+        bool ShrunkRange = Found && !Full && Hi - Lo >= 2;
+        IndexArrayProperty SSI =
+            prop(PropertyKind::SegmentStartIdentity, Fn, Pn);
+        if (Full || ShrunkRange) {
+          SSI.GuardLo = Full ? Expr(0) : snapToParam(Lo, Env);
+          SSI.GuardHi = snapToParam(Hi, Env);
         }
+        if (S.propose(std::move(SSI)) && ShrunkRange)
+          ++R.DomainsShrunk;
       }
 
       // Unwindowed pair relations. Restricted to plausible companions to
-      // keep the candidate count constant per pair: co-monotonic needs O
-      // to cover F's domain, triangular needs O's values to index F.
-      if (P.A.Size >= F.A.Size && F.A.Size > 0)
-        S.verdict(scanCoMonotonic(F, P, R.Positions),
-                  prop(PropertyKind::CoMonotonic, Fn, P.A.Name));
-      if (P.Min >= 0 && P.Max <= F.A.Size && P.A.Size > 0 && F.A.Size > 0)
-        S.verdict(scanTriangular(F, P, R.Positions),
-                  prop(PropertyKind::Triangular, Fn, P.A.Name));
+      // keep the candidate count constant per pair: co-monotonic needs P
+      // to cover F's domain, triangular needs P's values to index F.
+      if (P.Size >= F.Size)
+        S.propose(prop(PropertyKind::CoMonotonic, Fn, Pn));
+      if (P.Min >= 0 && P.Max <= F.Size && P.Size > 0)
+        S.propose(prop(PropertyKind::Triangular, Fn, Pn));
     }
 
     // Domain/range declaration: domain [0, size-1] (inclusive), range
     // [min, max], all four bounds snapped to symbolic parameters where a
     // parameter (or parameter - 1) matches.
-    if (Opts.InferDomainRanges) {
-      ir::DomainRangeDecl D;
-      D.Fn = Fn;
-      D.Tier = PropertyTier::Inferred;
-      D.DomLo = Expr(0);
-      D.DomHi = snapToParam(F.A.Size - 1, Env);
-      D.RanLo = F.Min >= 0 ? Expr(0) : Expr(F.Min);
-      D.RanHi = snapUpperBound(F.Max, Env);
-      ++R.Proposed;
-      ++R.ConfirmedCount;
-      R.Confirmed.addDomainRange(std::move(D));
-    }
+    ir::DomainRangeDecl D;
+    D.Fn = Fn;
+    D.DomLo = Expr(0);
+    D.DomHi = snapToParam(F.Size - 1, Env);
+    D.RanLo = F.Min >= 0 ? Expr(0) : Expr(F.Min);
+    D.RanHi = snapUpperBound(F.Max, Env);
+    S.propose(std::move(D));
   }
 
   R.Seconds =

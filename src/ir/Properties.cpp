@@ -126,20 +126,24 @@ PropertySet::filtered(const std::vector<PropertyKind> &Kinds) const {
   return Out;
 }
 
-static std::string propertyBase(const IndexArrayProperty &P) {
+std::string labelBase(const IndexArrayProperty &P) {
   return propertyKindName(P.K) + "(" + P.Fn +
          (P.Other.empty() ? "" : ", " + P.Other) + ")";
+}
+
+std::string labelBase(const DomainRangeDecl &D) {
+  return "domain_range(" + D.Fn + ")";
 }
 
 PropertySet PropertySet::unioned(const PropertySet &Other) const {
   PropertySet Out = *this;
   std::vector<std::string> Seen;
   for (const IndexArrayProperty &P : Props)
-    Seen.push_back(propertyBase(P));
+    Seen.push_back(labelBase(P));
   for (const IndexArrayProperty &P : Other.Props) {
     if (P.Tier == PropertyTier::Refuted)
       continue; // disconfirmed candidates stay out of the working set
-    if (std::find(Seen.begin(), Seen.end(), propertyBase(P)) != Seen.end())
+    if (std::find(Seen.begin(), Seen.end(), labelBase(P)) != Seen.end())
       continue;
     Out.add(P);
   }
@@ -164,10 +168,10 @@ PropertySet::tierForLabelBase(const std::string &Base) const {
       Found = T;
   };
   for (const IndexArrayProperty &P : Props)
-    if (propertyBase(P) == Base)
+    if (labelBase(P) == Base)
       Consider(P.Tier);
   for (const DomainRangeDecl &D : Decls)
-    if ("domain_range(" + D.Fn + ")" == Base)
+    if (labelBase(D) == Base)
       Consider(D.Tier);
   return Found;
 }
@@ -196,8 +200,7 @@ UniversalAssertion makeAssertion(std::string Label, int NumQ,
 void expandProperty(const IndexArrayProperty &P,
                     std::vector<UniversalAssertion> &Out) {
   const std::string &F = P.Fn;
-  std::string Base = propertyKindName(P.K) + "(" + F +
-                     (P.Other.empty() ? "" : ", " + P.Other) + ")";
+  std::string Base = labelBase(P);
   Expr X0 = q(0), X1 = q(1), X2 = q(2);
   Expr F0 = fOf(F, X0), F1 = fOf(F, X1);
 
@@ -360,7 +363,7 @@ std::vector<UniversalAssertion> PropertySet::assertions() const {
       Cons.push_back(Constraint::le(F0, *D.RanHi));
     if (Cons.empty())
       continue;
-    Out.push_back(makeAssertion("domain_range(" + D.Fn + ")", 1,
+    Out.push_back(makeAssertion(labelBase(D), 1,
                                 std::move(Ante), std::move(Cons)));
   }
   return Out;

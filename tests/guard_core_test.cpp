@@ -19,7 +19,7 @@
 // Plus the provenance invariants the guard relies on: every analyzed
 // dependence of every (light) paper kernel carries a core, eliminated
 // dependences cite only declared assertion bases, and PropertyCheck::Base
-// round-trips through propertyLabelBase.
+// round-trips through ir::labelBase.
 //
 //===----------------------------------------------------------------------===//
 
@@ -129,9 +129,9 @@ TEST(CoreProvenance, CitedBasesAreDeclaredAssertionBases) {
   const Fixture &F = fx();
   std::set<std::string> Declared;
   for (const ir::IndexArrayProperty &P : F.K.Properties.properties())
-    Declared.insert(propertyLabelBase(P));
+    Declared.insert(ir::labelBase(P));
   for (const ir::DomainRangeDecl &D : F.K.Properties.domainRanges())
-    Declared.insert(propertyLabelBase(D));
+    Declared.insert(ir::labelBase(D));
   EXPECT_FALSE(F.Cited.empty());
   for (const std::string &B : F.Cited)
     EXPECT_TRUE(Declared.count(B)) << "core cites undeclared base " << B;
@@ -144,9 +144,9 @@ TEST(CoreProvenance, CheckBaseMatchesPropertyLabelBase) {
   ValidationReport Full = validateProperties(F.K.Properties, F.Env);
   std::set<std::string> Declared;
   for (const ir::IndexArrayProperty &P : F.K.Properties.properties())
-    Declared.insert(propertyLabelBase(P));
+    Declared.insert(ir::labelBase(P));
   for (const ir::DomainRangeDecl &D : F.K.Properties.domainRanges())
-    Declared.insert(propertyLabelBase(D));
+    Declared.insert(ir::labelBase(D));
   ASSERT_EQ(Full.Checks.size(), Declared.size());
   for (const PropertyCheck &C : Full.Checks)
     EXPECT_TRUE(Declared.count(C.Base))

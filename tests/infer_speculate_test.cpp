@@ -19,7 +19,10 @@
 //     (runInferCampaign across every corruption class);
 //   * speculation survives the artifact codec (tier, Remediable,
 //     InferredCited, Options.Speculate, InferredFingerprint) and the
-//     engine keys speculated tiers apart from declared-only ones.
+//     engine keys speculated tiers apart from declared-only ones;
+//   * inference agrees with the guard: on Table-4 bindings and a sweep of
+//     random small environments, every confirmed candidate passes
+//     validateProperties and every refuted one fails it outright.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 using namespace sds;
 using namespace sds::guard;
@@ -84,13 +88,13 @@ TEST(InferSpeculate, ProfilerConfirmsDeclaredTrustBase) {
   // Every hand-declared property of the kernel must be rediscovered by
   // the profiler on arrays it actually holds on — as tier Inferred.
   for (const ir::IndexArrayProperty &P : F.K.Properties.properties()) {
-    auto T = F.Inf.Confirmed.tierForLabelBase(propertyLabelBase(P));
-    ASSERT_TRUE(T.has_value()) << propertyLabelBase(P);
+    auto T = F.Inf.Confirmed.tierForLabelBase(ir::labelBase(P));
+    ASSERT_TRUE(T.has_value()) << ir::labelBase(P);
     EXPECT_EQ(*T, ir::PropertyTier::Inferred);
   }
   for (const ir::DomainRangeDecl &D : F.K.Properties.domainRanges()) {
-    auto T = F.Inf.Confirmed.tierForLabelBase(propertyLabelBase(D));
-    ASSERT_TRUE(T.has_value()) << propertyLabelBase(D);
+    auto T = F.Inf.Confirmed.tierForLabelBase(ir::labelBase(D));
+    ASSERT_TRUE(T.has_value()) << ir::labelBase(D);
     EXPECT_EQ(*T, ir::PropertyTier::Inferred);
   }
 }
@@ -108,6 +112,70 @@ TEST(InferSpeculate, FingerprintDeterministicAndProfileSensitive) {
   std::string Desc;
   ASSERT_TRUE(injectFault(F.Env, S, Bad, Desc));
   EXPECT_NE(infer::inferProperties(Bad).fingerprint(), Fp);
+}
+
+/// Inference's verdicts against the guard's on one binding: confirmed
+/// candidates pass validation; refuted ones, re-tiered Inferred and
+/// checked alone, fail with a counterexample (not Skipped or Exhausted).
+void expectAgreesWithGuard(const codegen::UFEnvironment &Env,
+                           const std::string &What) {
+  infer::InferenceResult Inf = infer::inferProperties(Env);
+  for (const PropertyCheck &C :
+       validateProperties(Inf.Confirmed, Env).Checks)
+    EXPECT_EQ(C.Outcome, CheckOutcome::Pass) << What << ": " << C.str();
+  auto ExpectFails = [&](ir::PropertySet One) {
+    ValidationReport R = validateProperties(One, Env);
+    ASSERT_EQ(R.Checks.size(), 1u) << What;
+    EXPECT_EQ(R.Checks[0].Outcome, CheckOutcome::Fail)
+        << What << ": " << R.Checks[0].str();
+  };
+  for (ir::IndexArrayProperty P : Inf.Refuted.properties()) {
+    P.Tier = ir::PropertyTier::Inferred;
+    ir::PropertySet One;
+    One.add(std::move(P));
+    ExpectFails(std::move(One));
+  }
+  for (ir::DomainRangeDecl D : Inf.Refuted.domainRanges()) {
+    D.Tier = ir::PropertyTier::Inferred;
+    ir::PropertySet One;
+    One.addDomainRange(std::move(D));
+    ExpectFails(std::move(One));
+  }
+}
+
+TEST(InferSpeculate, InferenceAgreesWithGuard) {
+  for (const rt::MatrixProfile &Prof : rt::table4Profiles()) {
+    rt::CSRMatrix A = rt::generateFromProfile(Prof, 0.002);
+    rt::CSRMatrix Lower = rt::lowerTriangle(A);
+    rt::CSCMatrix L = rt::toCSC(Lower);
+    rt::PruneSets Prune = rt::buildPruneSets(L);
+    expectAgreesWithGuard(driver::bindCSR(A, A.diagonalPositions()),
+                          Prof.Name + " csr");
+    expectAgreesWithGuard(driver::bindCSR(Lower), Prof.Name + " lower csr");
+    expectAgreesWithGuard(driver::bindCSC(L, &Prune),
+                          Prof.Name + " csc+prune");
+  }
+
+  // Random small environments reach the edge cases the matrices never
+  // do: empty and singleton arrays, negative entries, windows that leave
+  // the entry array, and parameters the bounds snap to.
+  std::mt19937 Rng(20190622);
+  auto Uniform = [&](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    codegen::UFEnvironment Env;
+    for (const char *Name : {"a", "b", "c"}) {
+      std::vector<int> V(static_cast<size_t>(Uniform(0, 6)));
+      for (int &X : V)
+        X = Uniform(-1, 7);
+      if (Uniform(0, 1))
+        std::sort(V.begin(), V.end());
+      Env.bindArray(Name, std::move(V));
+    }
+    Env.Params["n"] = Uniform(0, 5);
+    expectAgreesWithGuard(Env, "random trial " + std::to_string(Trial));
+  }
 }
 
 TEST(InferSpeculate, SpeculatedAnalysisRecoversGraphBitIdentically) {
