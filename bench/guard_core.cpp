@@ -4,9 +4,9 @@
 //
 // Measures what the per-dependence unsat cores buy the serving path: for
 // each wired kernel on a concrete matrix, time full property validation
-// (every declared property and domain/range, the pre-core guard) against
-// core-directed validation (only the union of assertion bases some
-// dependence's core cites). The check counts are exact and machine-
+// (every declared property and domain/range) against core-directed
+// validation (only the union of assertion bases some dependence's core
+// cites). The check counts are exact and machine-
 // independent — they gate in bench/baseline.json — while the wall-time
 // ratio demonstrates the >= 30% validation saving on kernels whose cores
 // cite fewer than half the declared properties.
@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "WiredKernels.h"
+#include "sds/artifact/Artifact.h"
 #include "sds/guard/Guarded.h"
 
 #include <cctype>
@@ -58,9 +59,14 @@ int main(int argc, char **argv) {
     const ir::PropertySet &PS = W.Analysis.Kernel.Properties;
     uint64_t Declared = PS.properties().size() + PS.domainRanges().size();
 
-    bool AllHaveCores = false;
-    std::set<std::string> Cited =
-        guard::citedAssertionBases(W.Analysis.Deps, &AllHaveCores);
+    std::set<std::string> Cited = guard::citedAssertionBases(W.Analysis.Deps);
+    // The artifact decoder rejects a dependence without a core, so a clean
+    // round-trip is the check that every dependence carries one.
+    artifact::CompiledKernel Loaded;
+    bool AllHaveCores =
+        artifact::deserialize(
+            artifact::serialize(artifact::fromAnalysis(W.Analysis)), Loaded)
+            .ok();
     if (!AllHaveCores)
       std::printf("%-10s WARNING: a dependence lacks a core; selective "
                   "validation would be unsound\n",

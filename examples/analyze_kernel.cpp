@@ -226,11 +226,6 @@ int explainDeps(const artifact::CompiledKernel &CK, const std::string &Pat) {
     std::printf("--- explain %s ---\n", D.Dep.label().c_str());
     std::printf("status:     %s\n", deps::depStatusName(D.Status).c_str());
     std::printf("provenance: %s\n", D.Prov.str().c_str());
-    if (!D.HasCore) {
-      std::printf("core:       (none recorded — pre-core artifact; the "
-                  "guard falls back to full property validation)\n");
-      continue;
-    }
     if (D.Core.Assertions.empty()) {
       std::printf("core:       empty — this verdict depends on no "
                   "index-array assertion%s\n",

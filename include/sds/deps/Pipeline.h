@@ -64,10 +64,9 @@ struct AnalyzedDependence {
   ///    empty (nothing property-dependent: the inspector enumerates the
   ///    original relation and subsumption keys on the keeper's original).
   /// A guard needs to validate only the union of these per-dependence
-  /// cores; `HasCore == false` (e.g. a pre-core artifact) means unknown
-  /// provenance and forces full validation.
+  /// cores. Every dependence carries one; the artifact decoder rejects a
+  /// dependence without it.
   ir::UnsatCore Core;
-  bool HasCore = false;
   /// Speculation accounting (populated only by speculative analyses): the
   /// assertion-label bases of *Inferred*-tier properties this dependence's
   /// core cites. Non-empty means the verdict (or rewrite) leans on

@@ -116,11 +116,10 @@ CampaignResult runCampaign(const deps::PipelineResult &Analysis,
 // profiler-confirmed property is a potential lie at bind time. The
 // contract under test is the remedy path: every elimination citing an
 // inferred assertion must either see its remedy validated on the
-// corrupted arrays or be individually revoked (per-dependence, never
-// whole-analysis fallback while cores are complete) — and the schedule
-// ultimately served must always respect the baseline dependence graph of
-// the corrupted input. A wrong schedule is the misspeculation disaster
-// this layer exists to rule out.
+// corrupted arrays or be individually revoked (per dependence) — and the
+// schedule ultimately served must always respect the baseline dependence
+// graph of the corrupted input. A wrong schedule is the misspeculation
+// disaster this layer exists to rule out.
 //===----------------------------------------------------------------------===//
 
 /// Outcome of one misspeculation trial.
@@ -130,7 +129,7 @@ struct InferTrial {
   bool Injected = false;   ///< the fault actually altered data
   bool RemedyTripped = false; ///< >= 1 inferred-tier remedy failed validation
   unsigned DepsRevoked = 0;   ///< dependences individually reverted
-  bool UsedFallback = false;  ///< any revocation (or whole-analysis fallback)
+  bool UsedFallback = false;  ///< at least one dependence was revoked
   bool StillCorrect = false;  ///< served schedule respects corrupted baseline
   double Seconds = 0;
 

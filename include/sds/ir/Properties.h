@@ -122,6 +122,11 @@ struct DomainRangeDecl {
 /// guard checks and inference fingerprints all name a property by it.
 std::string labelBase(const IndexArrayProperty &P);
 std::string labelBase(const DomainRangeDecl &D);
+/// The base of an assertion or unsat-core label: the label minus its
+/// application-mode suffix (" [contrapositive]", " [disjunctive]", ...).
+/// This is the granularity at which cores are minimized, inferred
+/// citations are recorded and guards validate.
+std::string labelBase(const std::string &Label);
 
 /// The user-supplied environment of index-array knowledge for one kernel.
 class PropertySet {

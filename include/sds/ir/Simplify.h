@@ -38,15 +38,12 @@ namespace ir {
 
 /// Tuning knobs for instantiation and the integer decision procedures.
 struct SimplifyOptions {
-  unsigned EmptinessBudget = 64;   ///< Branch-and-bound node cap.
   unsigned MaxInstances = 20000;   ///< Raw cap on generated instances.
   unsigned MaxPhase2Instances = 8; ///< Disjunction-introducing instances.
   unsigned MaxPieces = 48;         ///< DNF piece cap during phase 2.
-  unsigned Phase1Passes = 4;       ///< Fixpoint passes for phase 1.
   unsigned InstantiationRounds = 2;///< Re-enumerate E after phase-1 growth
                                    ///< (round 2 finds equalities whose
                                    ///< terms phase 1 itself introduced).
-  unsigned MaxEqualityProbes = 64; ///< LP probes in equality detection.
   bool SemanticPhase1 = true;      ///< Prove antecedents with the integer-
                                    ///< set layer, not just syntactically.
   unsigned SemanticProbeCap = 600; ///< Emptiness probes for the above.

@@ -31,7 +31,6 @@
 #define SDS_IR_SUBSETDETECTION_H
 
 #include "sds/ir/Relation.h"
-#include "sds/ir/Simplify.h"
 #include "sds/presburger/BasicSet.h"
 
 namespace sds {
@@ -40,8 +39,7 @@ namespace ir {
 /// Does keeping `Kept`'s runtime test make `Discarded`'s test redundant?
 /// True only when proven; Unknown means "keep both tests" (sound).
 presburger::Ternary subsumes(const SparseRelation &Kept,
-                             const SparseRelation &Discarded,
-                             const SimplifyOptions &Opts = {});
+                             const SparseRelation &Discarded);
 
 /// Helper shared with subsumption: substitute away every variable in
 /// `Vars` that is pinned by a unit-coefficient equality (at any position,

@@ -1,11 +1,11 @@
-//===- Schedule.h - Schedule post-pass framework ----------------*- C++ -*-===//
+//===- Schedule.h - Compiled wavefront schedules ----------------*- C++ -*-===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// Post-pass framework over wavefront schedules (DESIGN.md §14): a base
-// schedule (level sets or LBC) is transformed by composable passes into a
+// Post-passes over wavefront schedules (DESIGN.md §14): a base schedule
+// (level sets or LBC) is transformed by at most two fixed passes into a
 // CompiledSchedule the executors in Kernels.h can run without per-wave
 // barriers (P2P ready propagation) or with fewer/fatter waves (cache-aware
 // coalescing). The schedule kind + pass knobs are a named plan dimension:
@@ -19,7 +19,6 @@
 
 #include "sds/runtime/Wavefront.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -88,38 +87,12 @@ struct CompiledSchedule {
   int numWaves() const { return Waves.numWaves(); }
 };
 
-//===----------------------------------------------------------------------===//
-// Pass framework
-//===----------------------------------------------------------------------===//
-
-/// A schedule post-pass: transforms a CompiledSchedule in place. Passes
-/// compose left-to-right; each must preserve validity (certifySchedule
-/// holds before and after).
-class SchedulePass {
-public:
-  virtual ~SchedulePass() = default;
-  virtual const char *name() const = 0;
-  virtual void run(const DependenceGraph &G,
-                   const std::vector<double> &NodeCost,
-                   CompiledSchedule &S) = 0;
-};
-
-/// Merge consecutive short waves into one wave whose chunks are the
-/// dependence-connected components of the merged node set, bin-packed
-/// largest-first and sorted ascending (so intra-chunk edges stay ordered).
-std::unique_ptr<SchedulePass> createCoalescePass();
-
-/// Snapshot in-degrees + the successor CSR into the schedule and set
-/// UsesP2P — the executors then run barrier-free.
-std::unique_ptr<SchedulePass> createP2PLoweringPass();
-
-/// The pass pipeline a config implies: {} for Levels/LBC,
-/// {coalesce} for Coalesced, {coalesce, p2p} for P2P.
-std::vector<std::unique_ptr<SchedulePass>>
-schedulePassesFor(const ScheduleConfig &C);
-
-/// Build the base schedule for C.Kind (levels or LBC) and run the implied
-/// pass pipeline over it.
+/// Build the base schedule for C.Kind (levels or LBC), then apply the
+/// post-passes the kind implies: Coalesced merges consecutive short waves
+/// into one wave whose chunks are the dependence-connected components of
+/// the merged node set; P2P coalesces too, then snapshots in-degrees and
+/// the successor CSR and sets UsesP2P, so the executors run barrier-free.
+/// Each pass preserves validity (certifySchedule holds before and after).
 CompiledSchedule buildSchedule(const DependenceGraph &G,
                                const ScheduleConfig &C,
                                const std::vector<double> &NodeCost = {});

@@ -22,6 +22,9 @@
 //      "core" object ({"assertions", "minimized", "farkas"}) — the unsat
 //      core justifying its verdict. Blobs without it load fine (the guard
 //      then falls back to full property validation).
+//      Still v3 (writer bytes unchanged): "core" is required. A blob whose
+//      dependence lacks it, or cites the '\x01' unattributed sentinel,
+//      fails to decode; a store quarantines it and the caller recompiles.
 //      Still v3 (the version is shared with the artifact format, whose
 //      bytes are unchanged): the separate stats document is gone, and a
 //      metrics_snapshot histogram whose name does not end in "_ns"

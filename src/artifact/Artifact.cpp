@@ -216,18 +216,14 @@ Value analyzedDepJSON(const deps::AnalyzedDependence &D) {
     O.emplace("approximated", Value(true));
   if (!D.Prov.Stage.empty() || !D.Prov.Evidence.empty())
     O.emplace("prov", provenanceJSON(D.Prov));
-  if (D.HasCore) {
-    // Additive (schema-compatible) field: the unsat core justifying this
-    // dependence's verdict. Loaders that predate it ignore the key;
-    // artifacts that predate it decode with HasCore == false, which makes
-    // the guard fall back to full property validation.
-    Object Core;
-    if (!D.Core.Assertions.empty())
-      Core.emplace("assertions", stringsJSON(D.Core.Assertions));
-    Core.emplace("minimized", Value(D.Core.Minimized));
-    Core.emplace("farkas", Value(D.Core.FromFarkas));
-    O.emplace("core", Value(std::move(Core)));
-  }
+  // The unsat core justifying this dependence's verdict: the guard's trust
+  // base, so it is required on decode.
+  Object Core;
+  if (!D.Core.Assertions.empty())
+    Core.emplace("assertions", stringsJSON(D.Core.Assertions));
+  Core.emplace("minimized", Value(D.Core.Minimized));
+  Core.emplace("farkas", Value(D.Core.FromFarkas));
+  O.emplace("core", Value(std::move(Core)));
   if (D.Remediable) {
     // Additive speculation fields: which Inferred-tier assertion bases this
     // dependence's verdict leans on. Loaders that predate them ignore the
@@ -722,19 +718,23 @@ Status decodeAnalyzedDep(const Value &V, deps::AnalyzedDependence &Out) {
     if (Status S = reqNum(PO, "seconds", D.Prov.Seconds); !S.ok())
       return S.withContext("prov");
   }
-  if (const Value *Core = find(O, "core")) {
-    if (!Core->isObject())
-      return fieldError("core", "object");
-    const Object &CO = Core->asObject();
-    if (Status S = decodeStrings(CO, "assertions", D.Core.Assertions);
-        !S.ok())
-      return S.withContext("core");
-    if (Status S = reqBool(CO, "minimized", D.Core.Minimized); !S.ok())
-      return S.withContext("core");
-    if (Status S = reqBool(CO, "farkas", D.Core.FromFarkas); !S.ok())
-      return S.withContext("core");
-    D.HasCore = true;
-  }
+  const Object *Core = nullptr;
+  if (Status S = reqObj(O, "core", Core); !S.ok())
+    return S;
+  if (Status S = decodeStrings(*Core, "assertions", D.Core.Assertions);
+      !S.ok())
+    return S.withContext("core");
+  // The analysis never lets its unattributed-constraint sentinel (the
+  // '\x01'-prefixed ir::OriginMap::unattributed()) into a core; a label
+  // carrying it would hide which property a proof leans on.
+  for (const std::string &L : D.Core.Assertions)
+    if (!L.empty() && L[0] == '\x01')
+      return fieldError("assertions", "attributed labels")
+          .withContext("core");
+  if (Status S = reqBool(*Core, "minimized", D.Core.Minimized); !S.ok())
+    return S.withContext("core");
+  if (Status S = reqBool(*Core, "farkas", D.Core.FromFarkas); !S.ok())
+    return S.withContext("core");
   if (Status S = optBool(O, "remediable", D.Remediable); !S.ok())
     return S;
   if (Status S = decodeStrings(O, "inferred_cited", D.InferredCited); !S.ok())

@@ -113,7 +113,6 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
     ir::InstantiationStats St;
     if (ir::provenUnsatAffineOnly(AD.Dep.Rel, Opts.Simp, &St, &AD.Core)) {
       AD.Status = DepStatus::AffineUnsat;
-      AD.HasCore = true; // no property assertions were even available
       AD.Prov.Stage = "affine-unsat";
       AD.Prov.Evidence = dedupeLabels(St.UsedLabels);
       if (AD.Prov.Evidence.empty())
@@ -134,7 +133,6 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
     ir::InstantiationStats St;
     if (ir::provenUnsat(AD.Dep.Rel, K.Properties, UnsatOpts, &St, &AD.Core)) {
       AD.Status = DepStatus::PropertyUnsat;
-      AD.HasCore = true;
       AD.Prov.Stage = "property-unsat";
       AD.Prov.Evidence = dedupeLabels(St.UsedLabels);
       AD.Prov.addEvidence(
@@ -169,9 +167,6 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
         AD.Core.FromFarkas = false;
       }
     }
-    // Runtime dependences always carry a (possibly empty) core: an empty
-    // one records positively that nothing here is property-dependent.
-    AD.HasCore = true;
     AD.CostAfter = codegen::buildInspectorPlan(AD.Simplified).Cost;
     AD.Status = DepStatus::Runtime;
     if (AD.Prov.Stage.empty())
@@ -413,7 +408,7 @@ PipelineResult analyzeKernel(const kernels::Kernel &K,
           // the polyhedral test is both sound and easier. The candidate
           // side uses its simplified form (equalities only shrink it
           // toward its true edge set).
-          if (ir::subsumes(Kept.Dep.Rel, Cand.Simplified, Opts.Simp) !=
+          if (ir::subsumes(Kept.Dep.Rel, Cand.Simplified) !=
               presburger::Ternary::True)
             continue;
           Cand.Status = DepStatus::Subsumed;
@@ -482,14 +477,9 @@ PipelineResult analyzeKernel(const kernels::Kernel &K,
         obs::counter("pipeline.inferred_citations");
     unsigned RemediableHere = 0;
     for (AnalyzedDependence &AD : Res.Deps) {
-      if (!AD.HasCore)
-        continue;
       std::set<std::string> Bases;
       for (const std::string &L : AD.Core.Assertions) {
-        // Label -> base: strip the application-mode suffix (" [contra]",
-        // " [weak]", ...) the way the guard's labelBase does.
-        size_t Cut = L.find(" [");
-        std::string Base = Cut == std::string::npos ? L : L.substr(0, Cut);
+        std::string Base = ir::labelBase(L);
         auto Tier = Res.Kernel.Properties.tierForLabelBase(Base);
         if (Tier && *Tier == ir::PropertyTier::Inferred)
           Bases.insert(std::move(Base));

@@ -186,7 +186,6 @@ FaultTrial runFaultTrial(const deps::PipelineResult &Analysis,
     GuardedOptions GO;
     GO.Mode = GuardMode::Warn;
     GO.Verify = true;
-    GO.VerifyMaxN = INT32_MAX;
     GO.VerifyThreads = std::max(2, Threads);
     GO.Inspect.NumThreads = Threads;
     GuardedResult R = runGuarded(Analysis, PS, Bad, N, GO);
@@ -345,7 +344,6 @@ InferCampaignResult runInferCampaign(const kernels::Kernel &K,
   GuardedOptions GO;
   GO.Mode = GuardMode::Off;
   GO.Verify = true;
-  GO.VerifyMaxN = INT32_MAX;
   GO.VerifyThreads = std::max(2, Threads);
   GO.Inspect.NumThreads = Threads;
 

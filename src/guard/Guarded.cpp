@@ -39,56 +39,17 @@ std::optional<GuardMode> parseGuardMode(std::string_view S) {
 
 namespace {
 
-/// An unsat-core label minus its application-mode suffix
-/// (" [contrapositive]", " [contra]", ...): the base the runtime checker
-/// reports in PropertyCheck::Base.
-std::string labelBase(const std::string &L) {
-  size_t P = L.find(" [");
-  return P == std::string::npos ? L : L.substr(0, P);
-}
-
 /// functional_consistency(f) assertions hold unconditionally (f(x)==f(x)
 /// regardless of array contents), so they never need runtime validation.
 bool needsValidation(const std::string &Base) {
   return Base.rfind("functional_consistency(", 0) != 0;
 }
 
-/// The union of assertion bases cited by the per-dependence unsat cores.
-/// `AllHaveCores` is the soundness gate for core-directed validation: a
-/// single dependence without a core (pre-core artifact) means unknown
-/// provenance and forces full validation.
-struct CoreUnion {
-  bool AllHaveCores = true;
-  std::set<std::string> Bases;
-};
-
-CoreUnion collectCitedBases(const std::vector<deps::AnalyzedDependence> &Deps) {
-  CoreUnion U;
-  for (const deps::AnalyzedDependence &D : Deps) {
-    if (!D.HasCore) {
-      U.AllHaveCores = false;
-      continue;
-    }
-    for (const std::string &L : D.Core.Assertions) {
-      if (!L.empty() && L[0] == '\x01') {
-        // Unattributed sentinel leaked into a core — treat the dependence
-        // as core-less rather than trust an incomplete citation list.
-        U.AllHaveCores = false;
-        continue;
-      }
-      std::string B = labelBase(L);
-      if (needsValidation(B))
-        U.Bases.insert(std::move(B));
-    }
-  }
-  return U;
-}
-
 /// Does this dependence's core cite any base in `Bad`?
 bool coreCites(const deps::AnalyzedDependence &D,
                const std::set<std::string> &Bad) {
   for (const std::string &L : D.Core.Assertions)
-    if (Bad.count(labelBase(L)))
+    if (Bad.count(ir::labelBase(L)))
       return true;
   return false;
 }
@@ -125,12 +86,15 @@ bool appliesFunction(const deps::AnalyzedDependence &D,
 } // namespace
 
 std::set<std::string>
-citedAssertionBases(const std::vector<deps::AnalyzedDependence> &Deps,
-                    bool *AllHaveCores) {
-  CoreUnion U = collectCitedBases(Deps);
-  if (AllHaveCores)
-    *AllHaveCores = U.AllHaveCores;
-  return std::move(U.Bases);
+citedAssertionBases(const std::vector<deps::AnalyzedDependence> &Deps) {
+  std::set<std::string> Bases;
+  for (const deps::AnalyzedDependence &D : Deps)
+    for (const std::string &L : D.Core.Assertions) {
+      std::string B = ir::labelBase(L);
+      if (needsValidation(B))
+        Bases.insert(std::move(B));
+    }
+  return Bases;
 }
 
 deps::AnalyzedDependence baselineOne(const deps::AnalyzedDependence &In) {
@@ -149,7 +113,6 @@ deps::AnalyzedDependence baselineOne(const deps::AnalyzedDependence &In) {
   // The baseline plan enumerates the original relation: nothing about it
   // depends on any property, so its core is positively empty.
   D.Core = {};
-  D.HasCore = true;
   return D;
 }
 
@@ -173,19 +136,16 @@ std::string GuardedResult::summary() const {
   if (!Validated)
     Out += "validation off";
   else
-    Out += Report.summary();
-  if (SelectiveValidation)
-    Out += " [core-directed: " + std::to_string(PropsValidated) +
-           " checked, " + std::to_string(PropsSkipped) + " uncited]";
+    Out += Report.summary() + " [core-directed: " +
+           std::to_string(PropsValidated) + " checked, " +
+           std::to_string(PropsSkipped) + " uncited]";
   if (RemediesChecked)
     Out += " [remedies: " + std::to_string(RemediesChecked) + " checked, " +
            std::to_string(RemediesFailed) + " failed]";
   if (!UsedFallback)
     Out += " -> simplified inspectors";
-  else if (DepsRevoked > 0)
-    Out += " -> revoked " + std::to_string(DepsRevoked) + " dependence(s)";
   else
-    Out += " -> baseline fallback";
+    Out += " -> revoked " + std::to_string(DepsRevoked) + " dependence(s)";
   if (Verified)
     Out += VerifyPassed ? " (verify: pass)"
                         : " (verify: FAIL — " + VerifyDetail + ")";
@@ -218,23 +178,16 @@ GuardedResult runGuarded(const std::string &KernelName,
   for (const deps::AnalyzedDependence &D : Deps)
     R.DepsRemediable += D.Remediable ? 1 : 0;
 
-  CoreUnion Cited = collectCitedBases(Deps);
+  std::set<std::string> Cited = citedAssertionBases(Deps);
 
-  // The remedy set: every *Inferred*-tier base the analysis leans on.
-  // With complete cores that is the inferred slice of the cited union;
-  // without them citation is unknowable, so every inferred declaration is
-  // a remedy. Speculation is validated in every guard mode — Off included.
+  // The remedy set: every *Inferred*-tier base the analysis leans on — the
+  // inferred slice of the cited union. Speculation is validated in every
+  // guard mode, Off included.
   std::set<std::string> RemedyBases;
-  if (Cited.AllHaveCores) {
-    for (const std::string &B : Cited.Bases) {
-      auto T = PS.tierForLabelBase(B);
-      if (T && *T == ir::PropertyTier::Inferred)
-        RemedyBases.insert(B);
-    }
-  } else {
-    for (const ir::IndexArrayProperty &P : PS.properties())
-      if (P.Tier == ir::PropertyTier::Inferred)
-        RemedyBases.insert(ir::labelBase(P));
+  for (const std::string &B : Cited) {
+    auto T = PS.tierForLabelBase(B);
+    if (T && *T == ir::PropertyTier::Inferred)
+      RemedyBases.insert(B);
   }
   // Inferred domain/range declarations are remedies whether or not any
   // core cites them: instantiation bakes domain and range facts into every
@@ -246,45 +199,29 @@ GuardedResult runGuarded(const std::string &KernelName,
     if (D.Tier == ir::PropertyTier::Inferred)
       RemedyBases.insert(ir::labelBase(D));
 
-  if (Opts.Mode != GuardMode::Off) {
+  // A property cited by no core influenced no verdict or rewrite, so only
+  // the cited bases (plus the remedies) need checking. Mode Off checks
+  // the remedies alone: speculation is never trusted blindly.
+  std::set<std::string> ToCheck = RemedyBases;
+  if (Opts.Mode != GuardMode::Off)
+    ToCheck.insert(Cited.begin(), Cited.end());
+  if (Opts.Mode != GuardMode::Off || !RemedyBases.empty()) {
     R.Validated = true;
-    if (Cited.AllHaveCores) {
-      // Every dependence carries a proof core: a property cited by none of
-      // them influenced no verdict or rewrite, so only the union of cited
-      // bases needs checking (ISSUE: the minimal trust base).
-      R.SelectiveValidation = true;
-      std::set<std::string> ToCheck = Cited.Bases;
-      ToCheck.insert(RemedyBases.begin(), RemedyBases.end());
-      R.Report = validateProperties(PS, Env, ToCheck);
-    } else {
-      R.Report = validateProperties(PS, Env);
-    }
+    R.Report = validateProperties(PS, Env, ToCheck);
     R.PropsValidated = static_cast<unsigned>(R.Report.Checks.size());
     R.PropsSkipped = DeclCount - R.PropsValidated;
     R.Trusted = R.Report.trusted();
-    if (R.Trusted)
+    if (R.Trusted && Opts.Mode != GuardMode::Off)
       TrustedRuns.add();
-    else if (Opts.Mode == GuardMode::Warn)
+    else if (!R.Trusted && Opts.Mode == GuardMode::Warn)
       Warned.add();
     if (!R.Trusted)
       obs::flightRecord(obs::FlightSeverity::Warn, "guard",
-                        "property validation revoked trust",
+                        Opts.Mode == GuardMode::Off
+                            ? "remedy validation failed with guarding off"
+                            : "property validation revoked trust",
                         {{"kernel", KernelName},
                          {"mode", guardModeName(Opts.Mode)},
-                         {"report", R.Report.summary()}});
-  } else if (!RemedyBases.empty()) {
-    // Mode Off still validates remedies: an inferred property is
-    // speculation, and speculation is never trusted blindly.
-    R.Validated = true;
-    R.SelectiveValidation = Cited.AllHaveCores;
-    R.Report = validateProperties(PS, Env, RemedyBases);
-    R.PropsValidated = static_cast<unsigned>(R.Report.Checks.size());
-    R.PropsSkipped = DeclCount - R.PropsValidated;
-    R.Trusted = R.Report.trusted();
-    if (!R.Trusted)
-      obs::flightRecord(obs::FlightSeverity::Warn, "guard",
-                        "remedy validation failed with guarding off",
-                        {{"kernel", KernelName},
                          {"report", R.Report.summary()}});
   } else {
     R.Trusted = true; // blind trust by request
@@ -307,31 +244,17 @@ GuardedResult runGuarded(const std::string &KernelName,
   RemedyChecks.add(R.RemediesChecked);
   RemedyFails.add(R.RemediesFailed);
 
-  // Anything short of a full pass revokes trust: a Failed check is a
-  // concrete counterexample, a Skipped/Exhausted one means the property
-  // was never confirmed. With per-dependence cores the revocation is
-  // surgical — only the dependences citing an unconfirmed base lose their
-  // simplifications; without cores the whole world reverts.
-  bool Untrusted = Opts.Mode == GuardMode::Fallback && !R.Trusted;
-  bool FullFallback = Untrusted && !R.SelectiveValidation;
-  // Misspeculation without complete cores cannot be attributed to specific
-  // dependences, so it degenerates to the whole-analysis baseline — in
-  // every mode, because a failed remedy must never run its plan.
-  if (!BadRemedies.empty() && !Cited.AllHaveCores)
-    FullFallback = true;
-
-  // The per-dependence revocation set. Under Fallback with cores that is
-  // every non-Pass base (declared or inferred); in Warn/Off modes only
-  // failed *remedies* revoke — declared-tier failures stay warnings there,
-  // but speculation is never allowed to run misspeculated plans.
-  std::set<std::string> Bad;
-  if (Untrusted && R.SelectiveValidation) {
+  // The per-dependence revocation set. Under Fallback anything short of a
+  // full pass revokes: a Failed check is a concrete counterexample, a
+  // Skipped/Exhausted one means the property was never confirmed. In
+  // Warn/Off modes only failed *remedies* revoke — declared-tier failures
+  // stay warnings there, but speculation is never allowed to run
+  // misspeculated plans.
+  std::set<std::string> Bad = BadRemedies;
+  if (Opts.Mode == GuardMode::Fallback && !R.Trusted)
     for (const PropertyCheck &C : R.Report.Checks)
       if (C.Outcome != CheckOutcome::Pass)
         Bad.insert(C.Base);
-  } else if (!FullFallback && Cited.AllHaveCores) {
-    Bad = BadRemedies;
-  }
 
   // Failed domain/range bases revoke structurally (every dependence whose
   // relation applies the out-of-contract function), because cores
@@ -362,35 +285,21 @@ GuardedResult runGuarded(const std::string &KernelName,
                        {"revoked", std::to_string(R.DepsRevoked)},
                        {"of", std::to_string(Deps.size())}});
   }
-  R.UsedFallback = FullFallback || R.DepsRevoked > 0;
-
-  std::optional<std::vector<deps::AnalyzedDependence>> Base;
-  if (FullFallback || Opts.Verify)
-    Base.emplace(baselineDeps(Deps));
-
-  if (FullFallback) {
+  R.UsedFallback = R.DepsRevoked > 0;
+  if (R.UsedFallback)
     Fallbacks.add();
-    obs::flightRecord(obs::FlightSeverity::Warn, "guard",
-                      "falling back to baseline inspectors",
-                      {{"kernel", KernelName}});
-    R.Inspection = driver::runInspectors(KernelName, *Base, Env, N,
-                                         Opts.Inspect);
-  } else {
-    R.Inspection = driver::runInspectors(KernelName, *Run, Env, N,
-                                         Opts.Inspect);
-  }
 
-  if (Opts.Verify && N <= Opts.VerifyMaxN) {
+  R.Inspection = driver::runInspectors(KernelName, *Run, Env, N, Opts.Inspect);
+
+  if (Opts.Verify) {
     R.Verified = true;
     // Ground truth: the baseline graph over the same bound arrays. The
     // schedule the executor would follow — built from the graph actually
     // in use — must respect every baseline dependence. A partially
     // revoked run is NOT the baseline, so it is cross-checked like the
     // simplified one.
-    driver::InspectionResult BaseRun =
-        FullFallback ? R.Inspection
-                     : driver::runInspectors(KernelName, *Base, Env, N,
-                                             Opts.Inspect);
+    driver::InspectionResult BaseRun = driver::runInspectors(
+        KernelName, baselineDeps(Deps), Env, N, Opts.Inspect);
     rt::WavefrontSchedule Sched = rt::scheduleLevelSets(
         R.Inspection.Graph, std::max(1, Opts.VerifyThreads));
     R.VerifyPassed = Sched.respects(BaseRun.Graph);
@@ -401,9 +310,8 @@ GuardedResult runGuarded(const std::string &KernelName,
                         "dependence graph",
                         {{"kernel", KernelName}});
       R.VerifyDetail = "schedule from the " +
-                       std::string(FullFallback ? "baseline"
-                                   : R.DepsRevoked > 0 ? "partially revoked"
-                                                       : "simplified") +
+                       std::string(R.UsedFallback ? "partially revoked"
+                                                  : "simplified") +
                        " graph (" + std::to_string(R.Inspection.Graph.numEdges()) +
                        " edges) violates the baseline graph (" +
                        std::to_string(BaseRun.Graph.numEdges()) + " edges)";
@@ -415,7 +323,6 @@ GuardedResult runGuarded(const std::string &KernelName,
           .count();
   Sp.tag("trusted", static_cast<int64_t>(R.Trusted));
   Sp.tag("fallback", static_cast<int64_t>(R.UsedFallback));
-  Sp.tag("selective", static_cast<int64_t>(R.SelectiveValidation));
   Sp.tag("revoked", static_cast<int64_t>(R.DepsRevoked));
   return R;
 }

@@ -22,6 +22,11 @@ namespace ir {
 
 namespace {
 
+/// Branch-and-bound node cap of each integer-emptiness probe.
+constexpr unsigned kEmptinessBudget = 64;
+/// Largest inequality count that still gets LP-based equality detection.
+constexpr size_t kMaxEqualityProbes = 64;
+
 /// Cheap syntactic pre-pass: pairs of inequalities with opposite linear
 /// parts and exactly-matching constants are equalities. This catches the
 /// common sandwich pattern without any LP work.
@@ -151,8 +156,8 @@ EqualityDiscoveryResult discoverEqualities(SparseRelation &R,
   promoteOppositePairs(F.Set);
   // LP-based promotion for anything the syntactic pass missed, under a
   // probe budget (each probe is one integer-emptiness query).
-  if (F.Set.inequalities().size() <= Opts.MaxEqualityProbes)
-    F.Set.detectImplicitEqualities(Opts.EmptinessBudget);
+  if (F.Set.inequalities().size() <= kMaxEqualityProbes)
+    F.Set.detectImplicitEqualities(kEmptinessBudget);
 
   // Residual combinations (Gaussian elimination of nested call columns)
   // expose solved forms like i' == rowidx(k).

@@ -27,6 +27,11 @@ std::vector<Expr> argumentExpressionSet(const Conjunction &C) {
 
 namespace {
 
+/// Branch-and-bound node cap of each integer-emptiness query.
+constexpr unsigned kEmptinessBudget = 64;
+/// Fixpoint passes of phase-1 instantiation per round.
+constexpr unsigned kPhase1Passes = 4;
+
 /// Is the constraint trivially false (constant expression violating it)?
 bool constantFalse(const Constraint &C) {
   if (!C.E.isConstant())
@@ -330,7 +335,7 @@ instantiatePhase1(const Conjunction &C,
     auto Cached = ProbeCache.find(Key);
     if (Cached != ProbeCache.end())
       return Cached->second.Implied;
-    unsigned Budget = std::min(Opts.EmptinessBudget, 8u);
+    unsigned Budget = std::min(kEmptinessBudget, 8u);
     ProbeResult PR;
     auto EmptyWith = [&](const Constraint &Neg) {
       // Lower !P onto Aug's column space; atoms are present (checked).
@@ -394,7 +399,7 @@ instantiatePhase1(const Conjunction &C,
   if (Round > 0 && Instances.size() == SizeBefore)
     break; // nothing new to try
 
-  for (unsigned Pass = 0; Pass < Opts.Phase1Passes; ++Pass) {
+  for (unsigned Pass = 0; Pass < kPhase1Passes; ++Pass) {
     bool Changed = false;
     // Aug grew last pass: negative probe answers may have flipped.
     for (auto It = ProbeCache.begin(); It != ProbeCache.end();) {
@@ -571,14 +576,13 @@ void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
 }
 
 bool allPiecesProvenEmpty(const std::vector<Conjunction> &Pieces,
-                          const SparseRelation &R,
-                          const SimplifyOptions &Opts, CoreCollector *CC) {
+                          const SparseRelation &R, CoreCollector *CC) {
   for (const Conjunction &Piece : Pieces) {
     SparseRelation Tmp = R;
     Tmp.Conj = Piece;
     Flattened F = flatten(Tmp);
     presburger::EmptinessCore EC;
-    if (F.Set.isEmpty(Opts.EmptinessBudget, CC ? &EC : nullptr) !=
+    if (F.Set.isEmpty(kEmptinessBudget, CC ? &EC : nullptr) !=
         presburger::Ternary::True)
       return false;
     notePieceEmpty(CC, F, Piece, EC);
@@ -634,7 +638,7 @@ static bool provenUnsatWithAssertions(
   };
 
   std::vector<Conjunction> Pieces{Aug};
-  if (allPiecesProvenEmpty(Pieces, R, Opts, CC))
+  if (allPiecesProvenEmpty(Pieces, R, CC))
     return Finish(true);
 
   // Phase 2: add disjunction-introducing instances under the caps.
@@ -681,18 +685,10 @@ static bool provenUnsatWithAssertions(
 
   if (Used == 0)
     return Finish(false); // nothing new to try
-  return Finish(allPiecesProvenEmpty(Pieces, R, Opts, CC));
+  return Finish(allPiecesProvenEmpty(Pieces, R, CC));
 }
 
 namespace {
-
-/// A label's property base: everything before the application-mode suffix
-/// (" [contrapositive]" etc.) — the granularity at which the minimizer
-/// drops assertions and at which guards validate them.
-std::string labelBase(const std::string &L) {
-  size_t P = L.find(" [");
-  return P == std::string::npos ? L : L.substr(0, P);
-}
 
 /// Greedy drop-and-recheck core minimization at property-base granularity:
 /// re-prove without one base at a time (restricted to the bases still

@@ -135,6 +135,10 @@ std::string labelBase(const DomainRangeDecl &D) {
   return "domain_range(" + D.Fn + ")";
 }
 
+std::string labelBase(const std::string &Label) {
+  return Label.substr(0, Label.find(" ["));
+}
+
 PropertySet PropertySet::unioned(const PropertySet &Other) const {
   PropertySet Out = *this;
   std::vector<std::string> Seen;

@@ -57,6 +57,9 @@ eliminateDeterminedVars(SparseRelation &R, std::vector<std::string> Vars) {
 
 namespace {
 
+/// Branch-and-bound node cap of the polyhedral subset test.
+constexpr unsigned kEmptinessBudget = 64;
+
 /// Lower a conjunction onto an existing column space. Atoms without a
 /// column must not occur (the caller builds the space from a superset).
 presburger::BasicSet lowerOnto(const Flattened &F, const Conjunction &C) {
@@ -82,8 +85,7 @@ presburger::BasicSet lowerOnto(const Flattened &F, const Conjunction &C) {
 } // namespace
 
 presburger::Ternary subsumes(const SparseRelation &Kept,
-                             const SparseRelation &Discarded,
-                             const SimplifyOptions &Opts) {
+                             const SparseRelation &Discarded) {
   using presburger::Ternary;
   // Step 1: the comparison only makes sense over a shared source space and
   // sink outer iterator.
@@ -151,7 +153,7 @@ presburger::Ternary subsumes(const SparseRelation &Kept,
       return Ternary::Unknown; // K never mentions these, so always exact
     KSet = std::move(KP.Set);
   }
-  return DSet.isSubsetOf(KSet, Opts.EmptinessBudget);
+  return DSet.isSubsetOf(KSet, kEmptinessBudget);
 }
 
 } // namespace ir

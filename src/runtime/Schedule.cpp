@@ -1,4 +1,4 @@
-//===- Schedule.cpp - Schedule post-pass framework ------------------------===//
+//===- Schedule.cpp - Compiled wavefront schedules ------------------------===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
@@ -56,7 +56,7 @@ std::string ScheduleConfig::key() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Coalescing pass
+// Coalescing
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -166,126 +166,95 @@ packComponents(const DependenceGraph &G, std::vector<int> Nodes,
   return Bins;
 }
 
-class CoalescePass : public SchedulePass {
-public:
-  const char *name() const override { return "coalesce-waves"; }
-
-  void run(const DependenceGraph &G, const std::vector<double> &NodeCost,
-           CompiledSchedule &S) override {
-    const ScheduleConfig &C = S.Config;
-    double Target =
-        std::max(1.0, C.CoalesceFactor * C.MinWorkPerThread * C.NumThreads);
-    std::vector<std::vector<std::vector<int>>> Out;
-    std::vector<int> Pending;
-    double PendingCost = 0;
-    auto Flush = [&] {
-      if (Pending.empty())
-        return;
-      Out.push_back(
-          packComponents(G, std::move(Pending), C.NumThreads, NodeCost));
-      Pending.clear();
-      PendingCost = 0;
-    };
-    // Merging waves can fuse their dependence components; a component
-    // larger than one thread's fair share would serialize the merged
-    // wave (components never split across chunks). The probe rejects a
-    // merge when the dominant merged component exceeds the imbalance
-    // tolerance — same spirit as LBC's adaptive window split — but a
-    // component below MinWorkPerThread is always acceptable: that is the
-    // per-thread work granularity anyway, and for waves that small the
-    // barrier being eliminated costs more than the imbalance.
-    auto Balanced = [&](const std::vector<int> &Merged, double Cost) {
-      if (C.NumThreads <= 1)
-        return true;
-      double MaxComp = 0;
-      for (const Component &Comp : connectedComponents(G, Merged, NodeCost))
-        MaxComp = std::max(MaxComp, Comp.Cost);
-      return MaxComp <= std::max(kImbalanceTolerance * Cost / C.NumThreads,
-                                 static_cast<double>(C.MinWorkPerThread));
-    };
-    for (const auto &Wave : S.Waves.Waves) {
-      double WaveCost = 0;
-      size_t WaveNodes = 0;
-      for (const auto &Part : Wave) {
-        WaveNodes += Part.size();
-        for (int Node : Part)
-          WaveCost += costOf(Node, NodeCost);
-      }
-      if (!Pending.empty() && PendingCost + WaveCost > Target) {
-        Flush();
-      } else if (!Pending.empty()) {
-        std::vector<int> Merged;
-        Merged.reserve(Pending.size() + WaveNodes);
-        Merged.insert(Merged.end(), Pending.begin(), Pending.end());
-        for (const auto &Part : Wave)
-          Merged.insert(Merged.end(), Part.begin(), Part.end());
-        std::sort(Merged.begin(), Merged.end());
-        if (!Balanced(Merged, PendingCost + WaveCost))
-          Flush();
-      }
-      Pending.reserve(Pending.size() + WaveNodes);
+/// Merge consecutive short waves into one wave whose chunks are the
+/// dependence-connected components of the merged node set (see
+/// packComponents).
+void coalesceWaves(const DependenceGraph &G,
+                   const std::vector<double> &NodeCost,
+                   CompiledSchedule &S) {
+  const ScheduleConfig &C = S.Config;
+  double Target =
+      std::max(1.0, C.CoalesceFactor * C.MinWorkPerThread * C.NumThreads);
+  std::vector<std::vector<std::vector<int>>> Out;
+  std::vector<int> Pending;
+  double PendingCost = 0;
+  auto Flush = [&] {
+    if (Pending.empty())
+      return;
+    Out.push_back(
+        packComponents(G, std::move(Pending), C.NumThreads, NodeCost));
+    Pending.clear();
+    PendingCost = 0;
+  };
+  // Merging waves can fuse their dependence components; a component
+  // larger than one thread's fair share would serialize the merged
+  // wave (components never split across chunks). The probe rejects a
+  // merge when the dominant merged component exceeds the imbalance
+  // tolerance — same spirit as LBC's adaptive window split — but a
+  // component below MinWorkPerThread is always acceptable: that is the
+  // per-thread work granularity anyway, and for waves that small the
+  // barrier being eliminated costs more than the imbalance.
+  auto Balanced = [&](const std::vector<int> &Merged, double Cost) {
+    if (C.NumThreads <= 1)
+      return true;
+    double MaxComp = 0;
+    for (const Component &Comp : connectedComponents(G, Merged, NodeCost))
+      MaxComp = std::max(MaxComp, Comp.Cost);
+    return MaxComp <= std::max(kImbalanceTolerance * Cost / C.NumThreads,
+                               static_cast<double>(C.MinWorkPerThread));
+  };
+  for (const auto &Wave : S.Waves.Waves) {
+    double WaveCost = 0;
+    size_t WaveNodes = 0;
+    for (const auto &Part : Wave) {
+      WaveNodes += Part.size();
+      for (int Node : Part)
+        WaveCost += costOf(Node, NodeCost);
+    }
+    if (!Pending.empty() && PendingCost + WaveCost > Target) {
+      Flush();
+    } else if (!Pending.empty()) {
+      std::vector<int> Merged;
+      Merged.reserve(Pending.size() + WaveNodes);
+      Merged.insert(Merged.end(), Pending.begin(), Pending.end());
       for (const auto &Part : Wave)
-        Pending.insert(Pending.end(), Part.begin(), Part.end());
-      PendingCost += WaveCost;
+        Merged.insert(Merged.end(), Part.begin(), Part.end());
+      std::sort(Merged.begin(), Merged.end());
+      if (!Balanced(Merged, PendingCost + WaveCost))
+        Flush();
     }
-    Flush();
-    S.Waves.Waves = std::move(Out);
+    Pending.reserve(Pending.size() + WaveNodes);
+    for (const auto &Part : Wave)
+      Pending.insert(Pending.end(), Part.begin(), Part.end());
+    PendingCost += WaveCost;
   }
-};
+  Flush();
+  S.Waves.Waves = std::move(Out);
+}
 
 //===----------------------------------------------------------------------===//
-// P2P lowering pass
+// P2P lowering
 //===----------------------------------------------------------------------===//
 
-class P2PLoweringPass : public SchedulePass {
-public:
-  const char *name() const override { return "p2p-lowering"; }
-
-  void run(const DependenceGraph &G, const std::vector<double> &NodeCost,
-           CompiledSchedule &S) override {
-    (void)NodeCost;
-    int N = G.numNodes();
-    S.InDegree.assign(static_cast<size_t>(N), 0);
-    S.SuccPtr.assign(static_cast<size_t>(N) + 1, 0);
-    S.SuccDst.clear();
-    S.SuccDst.reserve(static_cast<size_t>(G.numEdges()));
-    for (int U = 0; U < N; ++U) {
-      for (int V : G.successors(U)) {
-        ++S.InDegree[static_cast<size_t>(V)];
-        S.SuccDst.push_back(V);
-      }
-      S.SuccPtr[static_cast<size_t>(U) + 1] = S.SuccDst.size();
+/// Snapshot in-degrees and the successor CSR into the schedule and set
+/// UsesP2P: the executors then gate each node on a ready counter.
+void lowerToP2P(const DependenceGraph &G, CompiledSchedule &S) {
+  int N = G.numNodes();
+  S.InDegree.assign(static_cast<size_t>(N), 0);
+  S.SuccPtr.assign(static_cast<size_t>(N) + 1, 0);
+  S.SuccDst.clear();
+  S.SuccDst.reserve(static_cast<size_t>(G.numEdges()));
+  for (int U = 0; U < N; ++U) {
+    for (int V : G.successors(U)) {
+      ++S.InDegree[static_cast<size_t>(V)];
+      S.SuccDst.push_back(V);
     }
-    S.UsesP2P = true;
+    S.SuccPtr[static_cast<size_t>(U) + 1] = S.SuccDst.size();
   }
-};
+  S.UsesP2P = true;
+}
 
 } // namespace
-
-std::unique_ptr<SchedulePass> createCoalescePass() {
-  return std::make_unique<CoalescePass>();
-}
-std::unique_ptr<SchedulePass> createP2PLoweringPass() {
-  return std::make_unique<P2PLoweringPass>();
-}
-
-std::vector<std::unique_ptr<SchedulePass>>
-schedulePassesFor(const ScheduleConfig &C) {
-  std::vector<std::unique_ptr<SchedulePass>> Passes;
-  switch (C.Kind) {
-  case ScheduleKind::Levels:
-  case ScheduleKind::LBC:
-    break;
-  case ScheduleKind::Coalesced:
-    Passes.push_back(createCoalescePass());
-    break;
-  case ScheduleKind::P2P:
-    Passes.push_back(createCoalescePass());
-    Passes.push_back(createP2PLoweringPass());
-    break;
-  }
-  return Passes;
-}
 
 CompiledSchedule buildSchedule(const DependenceGraph &G,
                                const ScheduleConfig &C,
@@ -303,10 +272,15 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
     LC.MinWorkPerThread = C.MinWorkPerThread;
     S.Waves = scheduleLBC(G, LC, NodeCost);
   }
-  for (const auto &Pass : schedulePassesFor(C)) {
+  if (C.Kind == ScheduleKind::Coalesced || C.Kind == ScheduleKind::P2P) {
     obs::Span PassSp("schedule.pass", "rt");
-    PassSp.tag("pass", Pass->name());
-    Pass->run(G, NodeCost, S);
+    PassSp.tag("pass", "coalesce-waves");
+    coalesceWaves(G, NodeCost, S);
+  }
+  if (C.Kind == ScheduleKind::P2P) {
+    obs::Span PassSp("schedule.pass", "rt");
+    PassSp.tag("pass", "p2p-lowering");
+    lowerToP2P(G, S);
   }
   CompiledScheduleStats St = describeSchedule(S);
   Sp.tag("waves", static_cast<int64_t>(St.Base.NumWaves));

@@ -9,8 +9,8 @@
 //      the analysis, not an approximation of it;
 //   2. the load path issues zero Presburger queries (asserted on the
 //      always-on solver counters, which count even with tracing off);
-//   3. corrupt, truncated, version-skewed, or ABI-foreign blobs are
-//      rejected with a contextful Status and no partial state.
+//   3. corrupt, truncated, version-skewed, ABI-foreign, or core-less
+//      blobs are rejected with a contextful Status and no partial state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +18,17 @@
 #include "sds/driver/Driver.h"
 #include "sds/guard/Guarded.h"
 #include "sds/presburger/BasicSet.h"
+#include "sds/store/Store.h"
+#include "sds/support/Hash.h"
 #include "sds/support/JSON.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 
 using namespace sds;
 using namespace sds::rt;
@@ -223,7 +228,6 @@ TEST(ArtifactCore, CoresSurviveRoundTripBitIdentical) {
       artifact::compile(kernels::forwardSolveCSR(), {});
   bool AnyCited = false;
   for (const deps::AnalyzedDependence &D : CK.Deps) {
-    EXPECT_TRUE(D.HasCore) << D.Dep.label();
     AnyCited = AnyCited || !D.Core.Assertions.empty();
   }
   EXPECT_TRUE(AnyCited);
@@ -233,57 +237,10 @@ TEST(ArtifactCore, CoresSurviveRoundTripBitIdentical) {
   ASSERT_TRUE(S.ok()) << S.str();
   ASSERT_EQ(Loaded.Deps.size(), CK.Deps.size());
   for (size_t I = 0; I < CK.Deps.size(); ++I) {
-    EXPECT_EQ(Loaded.Deps[I].HasCore, CK.Deps[I].HasCore);
     EXPECT_EQ(Loaded.Deps[I].Core.Assertions, CK.Deps[I].Core.Assertions);
     EXPECT_EQ(Loaded.Deps[I].Core.Minimized, CK.Deps[I].Core.Minimized);
     EXPECT_EQ(Loaded.Deps[I].Core.FromFarkas, CK.Deps[I].Core.FromFarkas);
   }
-}
-
-// Schema skew: a blob produced before the "core" field existed (simulated
-// by stripping the cores before serializing — the encoder then emits no
-// "core" keys, exactly like the old writer) still loads, with HasCore
-// false everywhere. The guard detects that and falls back to validating
-// every declared property instead of a core-directed subset.
-TEST(ArtifactCore, PreCoreBlobFallsBackToFullValidation) {
-  artifact::CompiledKernel CK =
-      artifact::compile(kernels::forwardSolveCSR(), {});
-
-  artifact::CompiledKernel PreCore = CK;
-  for (deps::AnalyzedDependence &D : PreCore.Deps) {
-    D.Core = {};
-    D.HasCore = false;
-  }
-  std::string OldBlob = artifact::serialize(PreCore);
-  EXPECT_EQ(OldBlob.find("\"core\""), std::string::npos);
-  EXPECT_NE(artifact::serialize(CK).find("\"core\""), std::string::npos);
-
-  artifact::CompiledKernel Loaded;
-  support::Status S = artifact::deserialize(OldBlob, Loaded);
-  ASSERT_TRUE(S.ok()) << S.str();
-  for (const deps::AnalyzedDependence &D : Loaded.Deps)
-    EXPECT_FALSE(D.HasCore);
-
-  int N = 0;
-  codegen::UFEnvironment Env = wire("fs_csr", 99, 150, N);
-  guard::GuardedResult FromOld = guard::runGuarded(Loaded, Env, N);
-  EXPECT_TRUE(FromOld.Validated);
-  EXPECT_FALSE(FromOld.SelectiveValidation);
-  EXPECT_EQ(FromOld.PropsSkipped, 0u);
-  EXPECT_TRUE(FromOld.Trusted) << FromOld.Report.str();
-
-  // The same blob with cores runs the core-directed subset — same verdict,
-  // fewer checks.
-  artifact::CompiledKernel WithCores;
-  ASSERT_TRUE(
-      artifact::deserialize(artifact::serialize(CK), WithCores).ok());
-  guard::GuardedResult FromNew = guard::runGuarded(WithCores, Env, N);
-  EXPECT_TRUE(FromNew.SelectiveValidation);
-  EXPECT_GT(FromNew.PropsSkipped, 0u);
-  EXPECT_TRUE(FromNew.Trusted) << FromNew.Report.str();
-  EXPECT_LT(FromNew.Report.Checks.size(), FromOld.Report.Checks.size());
-  expectGraphsEqual(FromOld.Inspection.Graph, FromNew.Inspection.Graph,
-                    "pre-core vs core-bearing artifact");
 }
 
 TEST(ArtifactRoundTrip, SaveLoadFile) {
@@ -333,15 +290,31 @@ void expectRejected(const std::string &Blob, const std::string &MsgSubstr,
 /// The envelope's payload checksum: FNV-1a 64 over the payload's canonical
 /// text, as 16 lowercase hex digits.
 std::string payloadChecksum(const json::Value &Payload) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Payload.str()) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(H));
+                static_cast<unsigned long long>(
+                    support::fnv1a64(Payload.str())));
   return Buf;
+}
+
+/// Re-emit `Blob` with its first dependence passed through `Edit` and the
+/// payload checksum re-stamped, so decoding gets past the integrity check
+/// and reaches the edited dependence.
+std::string editFirstDep(const std::string &Blob,
+                         const std::function<void(json::Object &)> &Edit) {
+  json::ParseResult P = json::parse(Blob);
+  EXPECT_TRUE(P.Ok) << P.Error;
+  json::Object Root = P.Val.asObject();
+  json::Object Payload = Root.at("payload").asObject();
+  json::Array Deps = Payload.at("deps").asArray();
+  json::Object Dep = Deps.at(0).asObject();
+  Edit(Dep);
+  Deps[0] = json::Value(std::move(Dep));
+  Payload.insert_or_assign("deps", json::Value(std::move(Deps)));
+  json::Value Sealed(std::move(Payload));
+  Root.insert_or_assign("checksum", json::Value(payloadChecksum(Sealed)));
+  Root.insert_or_assign("payload", std::move(Sealed));
+  return json::Value(std::move(Root)).str();
 }
 
 } // namespace
@@ -429,6 +402,59 @@ TEST(ArtifactRejection, StatusCarriesFieldContext) {
   support::Status S = artifact::deserialize(Renamed, Out);
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.message().find("checksum"), std::string::npos) << S.str();
+}
+
+// Every dependence carries its unsat core — the guard's trust base — so a
+// blob whose dependence has no "core", or cites the analysis's internal
+// unattributed sentinel, is malformed input: decoding fails with field
+// context, and a store quarantines the blob and reports a clean miss (the
+// caller recompiles).
+TEST(ArtifactCore, CorelessBlobIsRejected) {
+  artifact::CompiledKernel CK =
+      artifact::compile(kernels::forwardSolveCSR(), {});
+  std::string Blob = artifact::serialize(CK);
+
+  // The re-stamping itself is faithful: an identity edit still decodes.
+  artifact::CompiledKernel Same;
+  ASSERT_TRUE(
+      artifact::deserialize(editFirstDep(Blob, [](json::Object &) {}), Same)
+          .ok());
+
+  std::string Coreless =
+      editFirstDep(Blob, [](json::Object &Dep) { Dep.erase("core"); });
+  expectRejected(Coreless, "deps[0]: missing field 'core'", "coreless dep");
+
+  std::string Sentinel = editFirstDep(Blob, [](json::Object &Dep) {
+    json::Object Core = Dep.at("core").asObject();
+    json::Array Labels;
+    Labels.push_back(json::Value(std::string(ir::OriginMap::unattributed())));
+    Core.insert_or_assign("assertions", json::Value(std::move(Labels)));
+    Dep.insert_or_assign("core", json::Value(std::move(Core)));
+  });
+  expectRejected(Sentinel, "deps[0]: core: field 'assertions'",
+                 "sentinel core label");
+
+  for (const std::string *Bad : {&Coreless, &Sentinel}) {
+    std::filesystem::path Root =
+        std::filesystem::path(::testing::TempDir()) / "sds_artifact_coreless";
+    std::filesystem::remove_all(Root);
+    store::Store St({Root.string(), 0, false});
+    ASSERT_TRUE(St.status().ok()) << St.status().str();
+    ASSERT_TRUE(St.put(CK).ok());
+    std::string Key = store::Store::keyFor(CK);
+    std::ofstream(St.blobPath(Key), std::ios::binary | std::ios::trunc)
+        << *Bad;
+
+    artifact::CompiledKernel Out;
+    bool Found = true;
+    support::Status S = St.get(Key, Out, Found);
+    ASSERT_TRUE(S.ok()) << S.str();
+    EXPECT_FALSE(Found);
+    EXPECT_EQ(St.stats().Quarantined, 1u);
+    EXPECT_EQ(St.listQuarantined().size(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(St.blobPath(Key)));
+    std::filesystem::remove_all(Root);
+  }
 }
 
 TEST(ArtifactOptions, KeyAndEquality) {

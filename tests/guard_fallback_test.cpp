@@ -134,9 +134,8 @@ TEST(RunGuarded, CorruptedInputFallsBackToBaselineGraph) {
   GuardedResult G = runGuarded(F.Analysis, F.K.Properties, Bad, F.Lower.N,
                                Opts);
   EXPECT_TRUE(G.Validated);
-  // Every dependence carries a core, so validation is core-directed and
-  // the violated triangular_entries_le base is among the checked ones.
-  EXPECT_TRUE(G.SelectiveValidation);
+  // Validation is core-directed: the violated triangular_entries_le base
+  // is cited, so it is among the checked ones.
   EXPECT_FALSE(G.Trusted);
   EXPECT_TRUE(G.UsedFallback);
   EXPECT_GE(G.DepsRevoked, 1u);
@@ -166,7 +165,6 @@ TEST(RunGuarded, UncitedCorruptionIsToleratedByCoreDirectedValidation) {
   GuardedResult G = runGuarded(F.Analysis, F.K.Properties, Bad, F.Lower.N,
                                Opts);
   EXPECT_TRUE(G.Validated);
-  EXPECT_TRUE(G.SelectiveValidation);
   // periodic_monotonic(col, rowptr) is broken but uncited: no verdict
   // depended on it, so the guard keeps trusting the simplified
   // inspectors — and skips its check entirely.

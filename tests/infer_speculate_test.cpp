@@ -234,7 +234,6 @@ TEST(InferSpeculate, MisspeculationRevokesPerDependence) {
   GuardedOptions GO;
   GO.Mode = GuardMode::Off;
   GO.Verify = true;
-  GO.VerifyMaxN = INT32_MAX;
   GuardedResult G = runGuarded(F.Speculated, F.Speculated.Kernel.Properties,
                                Bad, F.Lower.N, GO);
   EXPECT_GE(G.RemediesChecked, 1u);
