@@ -5,10 +5,11 @@
 // Times the full Figure-3 analysis pipeline (deps::analyzeKernel) over
 // every Table-2 kernel at 1/2/4/8 worker threads and reports, per thread
 // count: wall seconds, per-stage seconds, speedup vs serial, Presburger
-// cache hit/miss counts, and prefilter-ladder counters. The verdict
-// fingerprint (statuses, costs, equalities, subsumption edges) is also
-// checked against the serial run so the report doubles as a determinism
-// probe: `tN_identical` must be 1 for every N.
+// cache hit/miss counts, prefilter-ladder counters, and entailment probes
+// answered by a pooled witness point. The verdict fingerprint (statuses,
+// costs, equalities, subsumption edges) is also checked against the
+// serial run so the report doubles as a determinism probe: `tN_identical`
+// must be 1 for every N.
 //
 // The cache is cleared before each thread-count configuration so the
 // cache/prefilter figures describe exactly one cold full-suite pass.
@@ -69,6 +70,8 @@ int main(int argc, char **argv) {
   Report.set("kernels", static_cast<uint64_t>(Suite.size()));
   Report.set("hardware_threads", omp_get_max_threads());
 
+  // Entailment probes answered by a pooled witness point, not a solve.
+  static obs::Counter &WitnessSkips = obs::counter("basicset.witness_skips");
   const int Ladder[] = {1, 2, 4, 8};
   double SerialSeconds = 0;
   std::string SerialPrint;
@@ -115,6 +118,7 @@ int main(int argc, char **argv) {
     Report.set(P + "prefilter_interval", PF.IntervalRejects);
     Report.set(P + "prefilter_subset_syntactic", PF.SyntacticSubsetHits);
     Report.set(P + "prefilter_misses", PF.Misses);
+    Report.set(P + "witness_skips", WitnessSkips.value());
     for (const auto &[S, Sec] : Stage)
       Report.set(P + "stage_" + S, Sec);
   }

@@ -84,8 +84,12 @@ public:
 
   /// Like `isEmpty`, but on a `True` verdict additionally reports which
   /// input rows the emptiness proof cited (see EmptinessCore). `Core` may
-  /// be null; it is cleared on any non-True verdict.
-  Ternary isEmpty(unsigned NodeBudget, EmptinessCore *Core) const;
+  /// be null; it is cleared on any non-True verdict. `Witness` may be null;
+  /// on a `False` verdict reached by a solve it receives the integer point
+  /// the solver found, and it is left empty on every other path (a cached
+  /// `False` carries no point).
+  Ternary isEmpty(unsigned NodeBudget, EmptinessCore *Core,
+                  std::vector<int64_t> *Witness = nullptr) const;
 
   /// Convenience: true only when emptiness was proven.
   bool isProvenEmpty(unsigned NodeBudget = 64) const {
@@ -98,7 +102,10 @@ public:
 
   /// Promote inequalities that are provably tight everywhere (the set lies
   /// on their hyperplane) into equalities — the "detect equalities" engine
-  /// behind §4. Returns the number of inequalities promoted.
+  /// behind §4. Returns the number of inequalities promoted. Each row `r`
+  /// costs one probe of `Set ∧ r >= 1`, run through one WitnessPool: the
+  /// points found by earlier non-empty probes answer later ones whose row
+  /// they satisfy, without a solve and with the same promotions.
   unsigned detectImplicitEqualities(unsigned NodeBudget = 64);
 
   /// Eliminate the variables at `Positions` (existential projection).
@@ -127,6 +134,38 @@ private:
   unsigned NumVars;
   std::vector<std::vector<int64_t>> Eqs;
   std::vector<std::vector<int64_t>> Ineqs;
+};
+
+/// Integer points known to lie in one base set, kept across a loop of
+/// emptiness probes `Base ∧ Row >= 0` that differ only in their one added
+/// row (phase-1 instantiation's entailment probes and the probes of
+/// detectImplicitEqualities). A pooled point that satisfies a probe's row
+/// lies in the probe set, so the probe is answered "not empty" without a
+/// solve. That is exact: the solver could never have proven such a set
+/// empty, so a covered probe never loses a `True`; at most an `Unknown`
+/// the solver might have returned becomes a correct `False`.
+class WitnessPool {
+public:
+  static constexpr unsigned kNoColumn = ~0u;
+
+  /// Emptiness of `Base` plus the inequality `Row` (appended last, so core
+  /// row ids are Base's ids followed by one id for `Row`). Every pooled
+  /// point must lie in `Base`. A pooled point satisfying `Row` answers
+  /// `False` and counts `basicset.witness_skips`; otherwise the probe goes
+  /// to BasicSet::isEmpty and the point it finds joins the pool.
+  Ternary probe(const BasicSet &Base, std::vector<int64_t> Row,
+                unsigned NodeBudget, EmptinessCore *Core = nullptr);
+
+  /// Re-express the pool over `NewBase`, whose column J was column
+  /// `OldColumn[J]` of the previous base (kNoColumn for a new column).
+  /// Points lacking a column or violating a row of `NewBase` are dropped,
+  /// so every kept point lies in `NewBase`.
+  void remap(const std::vector<unsigned> &OldColumn, const BasicSet &NewBase);
+
+  size_t size() const { return Points.size(); }
+
+private:
+  std::vector<std::vector<int64_t>> Points;
 };
 
 /// Result of projecting variables out of a BasicSet.

@@ -280,14 +280,27 @@ instantiatePhase1(const Conjunction &C,
   // antecedent mentioning a call that occurs nowhere in Aug can never be
   // entailed, so we skip the (much costlier) semantic probe. The flattened
   // form of Aug is kept alongside so each probe only lowers one extra row
-  // instead of re-flattening the whole conjunction.
+  // instead of re-flattening the whole conjunction. Every probe is
+  // AugFlat.Set plus one row, so the points of non-empty probes answer
+  // later probes (Witnesses); a re-flatten re-maps them by column name,
+  // keeping those that still lie in the grown set.
   std::set<std::string> AugCallKeys;
   Flattened AugFlat;
+  presburger::WitnessPool Witnesses;
   auto RefreshCalls = [&] {
     AugCallKeys.clear();
     for (const Atom &A : Aug.collectCalls())
       AugCallKeys.insert(A.str());
+    std::map<std::string, unsigned> OldColIndex = std::move(AugFlat.ColIndex);
     AugFlat = flatten(Aug, {});
+    std::vector<unsigned> OldColumn(AugFlat.Set.numVars(),
+                                    presburger::WitnessPool::kNoColumn);
+    for (const auto &[Name, Col] : AugFlat.ColIndex) {
+      auto It = OldColIndex.find(Name);
+      if (It != OldColIndex.end())
+        OldColumn[Col] = It->second;
+    }
+    Witnesses.remap(OldColumn, AugFlat.Set);
   };
   RefreshCalls();
   std::vector<Atom> CallScratch; // reused across probes
@@ -348,14 +361,13 @@ instantiatePhase1(const Conjunction &C,
           return false; // unseen variable: cannot be entailed
         Row[It->second] += T.Coeff;
       }
-      presburger::BasicSet Probe = AugFlat.Set;
-      Probe.addInequality(std::move(Row));
-      if (!Origins)
-        return Probe.isEmpty(Budget) == presburger::Ternary::True;
       presburger::EmptinessCore EC;
-      if (Probe.isEmpty(Budget, &EC) != presburger::Ternary::True)
+      if (Witnesses.probe(AugFlat.Set, std::move(Row), Budget,
+                          Origins ? &EC : nullptr) !=
+          presburger::Ternary::True)
         return false;
-      ProbeSupport(EC, PR.Support);
+      if (Origins)
+        ProbeSupport(EC, PR.Support);
       return true;
     };
     if (!P.isEq()) {

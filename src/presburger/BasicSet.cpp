@@ -866,13 +866,16 @@ void recordCoreSize(size_t N) {
 
 } // namespace
 
-Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
+Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
+                          std::vector<int64_t> *Witness) const {
   static obs::Counter &Checks = obs::counter("basicset.emptiness_checks");
   Checks.add();
   if (Core) {
     Core->Rows.clear();
     Core->Valid = false;
   }
+  if (Witness)
+    Witness->clear();
   // Normalize once, carrying a tag per row; the prefilter ladder, the
   // cache key, the solver, and core attribution all reuse the result.
   TaggedSet T(*this);
@@ -955,9 +958,11 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
     noteDeadlineExhaustion();
     return Ternary::Unknown;
   }
-  std::vector<int64_t> Ignored;
+  std::vector<int64_t> Point;
   std::vector<uint32_t> CoreTags;
-  Ternary R = EmptinessCheckerImpl(NodeBudget).run(T, Ignored, &CoreTags);
+  Ternary R = EmptinessCheckerImpl(NodeBudget).run(T, Point, &CoreTags);
+  if (R == Ternary::False && Witness)
+    *Witness = std::move(Point);
   if (R == Ternary::True) {
     sortUniqueTags(CoreTags);
     std::shared_ptr<const CachedCore> CC = contentCoreFromTags(T, CoreTags);
@@ -986,20 +991,90 @@ BasicSet::sampleIntegerPoint(unsigned NodeBudget) const {
   return std::nullopt;
 }
 
+namespace {
+
+/// Does `P` satisfy `Row` (`Row . (P, 1) == 0` or `>= 0`)? Checked 128-bit
+/// arithmetic; an overflowing sum counts as not satisfied.
+bool satisfiesRow(const std::vector<int64_t> &Row,
+                  const std::vector<int64_t> &P, bool IsEq) {
+  Int128 V = Row.back();
+  for (size_t J = 0; J < P.size(); ++J)
+    if (Row[J] != 0 && addOverflow128(V, Int128(Row[J]) * P[J], V))
+      return false;
+  return IsEq ? V == 0 : V >= 0;
+}
+
+bool liesIn(const BasicSet &S, const std::vector<int64_t> &P) {
+  if (P.size() != S.numVars())
+    return false;
+  for (const auto &R : S.equalities())
+    if (!satisfiesRow(R, P, /*IsEq=*/true))
+      return false;
+  for (const auto &R : S.inequalities())
+    if (!satisfiesRow(R, P, /*IsEq=*/false))
+      return false;
+  return true;
+}
+
+} // namespace
+
+Ternary WitnessPool::probe(const BasicSet &Base, std::vector<int64_t> Row,
+                           unsigned NodeBudget, EmptinessCore *Core) {
+  static obs::Counter &Skips = obs::counter("basicset.witness_skips");
+  for (const std::vector<int64_t> &P : Points) {
+    if (!satisfiesRow(Row, P, /*IsEq=*/false))
+      continue;
+    Skips.add();
+    if (Core) {
+      Core->Rows.clear();
+      Core->Valid = false;
+    }
+    return Ternary::False;
+  }
+  BasicSet Probe = Base;
+  Probe.addInequality(std::move(Row));
+  std::vector<int64_t> Witness;
+  Ternary R = Probe.isEmpty(NodeBudget, Core, &Witness);
+  // Checked against every row before pooling, so the pool's exactness
+  // never rests on the solver's sample point.
+  if (R == Ternary::False && liesIn(Probe, Witness))
+    Points.push_back(std::move(Witness));
+  return R;
+}
+
+void WitnessPool::remap(const std::vector<unsigned> &OldColumn,
+                        const BasicSet &NewBase) {
+  assert(OldColumn.size() == NewBase.numVars() && "bad column map");
+  std::vector<std::vector<int64_t>> Kept;
+  for (const std::vector<int64_t> &P : Points) {
+    std::vector<int64_t> Q(OldColumn.size());
+    bool Mapped = true;
+    for (size_t J = 0; J < Q.size() && Mapped; ++J) {
+      Mapped = OldColumn[J] < P.size();
+      if (Mapped)
+        Q[J] = P[OldColumn[J]];
+    }
+    if (Mapped && liesIn(NewBase, Q))
+      Kept.push_back(std::move(Q));
+  }
+  Points = std::move(Kept);
+}
+
 unsigned BasicSet::detectImplicitEqualities(unsigned NodeBudget) {
   if (!normalize())
     return 0;
+  // Promoting a row never changes the set's integer points (the probe
+  // proved the row tight on all of them), so pooled points stay inside.
+  WitnessPool Pool;
   unsigned Promoted = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = 0; I < Ineqs.size(); ++I) {
       // Is (row >= 1) infeasible within the set? Then row == 0 everywhere.
-      BasicSet Probe = *this;
       std::vector<int64_t> Strict = Ineqs[I];
       Strict[NumVars] -= 1;
-      Probe.addInequality(std::move(Strict));
-      if (Probe.isEmpty(NodeBudget) != Ternary::True)
+      if (Pool.probe(*this, std::move(Strict), NodeBudget) != Ternary::True)
         continue;
       Eqs.push_back(Ineqs[I]);
       Ineqs.erase(Ineqs.begin() + static_cast<std::ptrdiff_t>(I));

@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <regex>
 
 using namespace sds;
 using namespace sds::rt;
@@ -117,6 +118,19 @@ void expectGraphsEqual(const DependenceGraph &A, const DependenceGraph &B,
   }
 }
 
+/// A serialized artifact with its wall-clock fields masked: each
+/// dependence's `prov.seconds`, the `stage_seconds` object, and the
+/// `checksum` that covers them. Two compiles of one kernel with the same
+/// options serialize to the same masked bytes.
+std::string maskTimings(const std::string &Blob) {
+  static const std::regex Stages(R"("stage_seconds":\{[^}]*\})");
+  static const std::regex Seconds(R"("seconds":[-+0-9.eE]+)");
+  static const std::regex Checksum(R"("checksum":"[0-9a-f]*")");
+  std::string S = std::regex_replace(Blob, Stages, R"("stage_seconds":{})");
+  S = std::regex_replace(S, Seconds, R"("seconds":0)");
+  return std::regex_replace(S, Checksum, R"("checksum":"")");
+}
+
 uint64_t presburgerQueries() {
   presburger::QueryCacheStats Q = presburger::queryCacheStats();
   presburger::PrefilterStats P = presburger::prefilterStats();
@@ -147,6 +161,26 @@ TEST(ArtifactRoundTrip, SerializationIsIdempotent) {
             << C.Key;
       }
     }
+  }
+}
+
+// The recorded timings ride inside the checksummed payload (the warm-vs-
+// cold report reads them back), so only a masked comparison can show that
+// two compiles agree: at 1 and at 4 threads every other byte is the same.
+TEST(ArtifactRoundTrip, CompilesAgreeOnceTimingsAreMasked) {
+  for (const SuiteCase &C : suite()) {
+    if (C.Key != "fs_csr" && C.Key != "fs_csc" && C.Key != "gs_csr")
+      continue;
+    deps::PipelineOptions Serial = C.Opts, Parallel = C.Opts;
+    Serial.NumThreads = 1;
+    Parallel.NumThreads = 4;
+    std::string Masked =
+        maskTimings(artifact::serialize(artifact::compile(C.K, Serial)));
+    EXPECT_NE(Masked.find(R"("stage_seconds":{})"), std::string::npos);
+    EXPECT_NE(Masked.find(R"("checksum":"")"), std::string::npos);
+    EXPECT_EQ(Masked, maskTimings(artifact::serialize(
+                          artifact::compile(C.K, Parallel))))
+        << C.Key;
   }
 }
 

@@ -14,9 +14,45 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace sds;
 using namespace sds::deps;
 using codegen::Complexity;
+
+namespace {
+
+/// Each runtime dependence of the five compile kernels: a line with its
+/// label and deciding stage, then one per evidence string (the equalities
+/// discovery added) and one per assertion of its core.
+std::vector<std::string> runtimeEvidenceLines() {
+  const std::pair<const char *, kernels::Kernel> Kernels[] = {
+      {"spmv_csr", kernels::spmvCSR()},
+      {"fs_csr", kernels::forwardSolveCSR()},
+      {"fs_csc", kernels::forwardSolveCSC()},
+      {"gs_csr", kernels::gaussSeidelCSR()},
+      {"lchol_csc", kernels::leftCholeskyCSC()},
+  };
+  std::vector<std::string> Lines;
+  for (const auto &[Id, K] : Kernels) {
+    PipelineResult R = analyzeKernel(K);
+    for (const AnalyzedDependence &D : R.Deps) {
+      if (D.Status != DepStatus::Runtime)
+        continue;
+      Lines.push_back(std::string(Id) + " " + D.Dep.label() + " [" +
+                      D.Prov.Stage + "]");
+      for (const std::string &E : D.Prov.Evidence)
+        Lines.push_back("  evidence " + E);
+      for (const std::string &A : D.Core.Assertions)
+        Lines.push_back("  core " + A);
+    }
+  }
+  return Lines;
+}
+
+} // namespace
 
 TEST(Pipeline, SpMVIsFullyParallel) {
   // §7.1: SpMV needs no domain information at all.
@@ -194,4 +230,96 @@ TEST(Pipeline, SummaryMentionsEveryDependence) {
   for (const AnalyzedDependence &D : R.Deps)
     EXPECT_NE(S.find(D.Dep.SrcStmt), std::string::npos);
   EXPECT_NE(S.find("Forward Solve CSR"), std::string::npos);
+}
+
+// The equalities discovery finds and the cores behind them, pinned for
+// every runtime dependence of the five compile kernels. Faster entailment
+// probing must leave every one of them as it was.
+TEST(Pipeline, RuntimeEvidenceAndCoresArePinned) {
+  const std::vector<std::string> Expected = {
+      "fs_csr u[i] (w)@S2 -> u[col(k)] (r)@S1 [runtime]",
+      "fs_csc x[rowidx(p)] (u)@S2 -> x[j] (w)@S1 [equality-discovery]",
+      "  evidence j - rowidx(colptr(j)) == 0",
+      "  evidence j - rowidx(colptr(j + 1)) + 1 == 0",
+      "  core domain_range(colptr)",
+      "  core periodic_monotonic(rowidx, colptr)",
+      "  core segment_start_identity(rowidx, colptr)",
+      "  core strict_monotonic_increasing(colptr)",
+      "  core strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  core triangular_entries_ge(rowidx, colptr)",
+      "gs_csr x[col(k)] (r)@S1 -> x[i] (w)@S2 [runtime]",
+      "gs_csr x[i] (w)@S2 -> x[col(k)] (r)@S1 [runtime]",
+      "lchol_csc lval[colptr(j)] (w)@S2 -> lval[p] (r)@S1 [equality-discovery]",
+      "  evidence j - rowidx(colptr(j)) == 0",
+      "  evidence j' - rowidx(colptr(j')) == 0",
+      "  evidence pruneset(t') - rowidx(colptr(pruneset(t'))) == 0",
+      "  evidence pruneset(t') - rowidx(colptr(pruneset(t') + 1)) + 1 == 0",
+      "  evidence colptr(j) - colptr(pruneset(t')) == 0",
+      "  evidence pruneptr(j) - pruneptr(pruneset(t')) == 0",
+      "  evidence rowidx(colptr(j)) - rowidx(colptr(pruneset(t'))) == 0",
+      "  evidence j - pruneset(t') == 0",
+      "  evidence colptr(colptr(j)) - colptr(colptr(pruneset(t'))) == 0",
+      "  evidence pruneptr(colptr(j)) - pruneptr(colptr(pruneset(t'))) == 0",
+      "  core domain_range(colptr)",
+      "  core functional_consistency(colptr)",
+      "  core functional_consistency(pruneptr)",
+      "  core functional_consistency(rowidx)",
+      "  core segment_start_identity(rowidx, colptr)",
+      "  core strict_monotonic_increasing(colptr)",
+      "  core strict_monotonic_increasing(colptr) [contra-strict]",
+      "  core strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contra]",
+      "  core strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "  core strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr)",
+      "  core strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [weak]",
+      "  core strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  core triangular_entries_ge(rowidx, colptr)",
+      "lchol_csc lval[p] (w)@S3 -> lval[p] (r)@S1 [equality-discovery]",
+      "  evidence j - rowidx(colptr(j)) == 0",
+      "  evidence j - rowidx(colptr(j + 1)) + 1 == 0",
+      "  evidence j' - rowidx(colptr(j')) == 0",
+      "  evidence pruneset(t') - rowidx(colptr(pruneset(t'))) == 0",
+      "  evidence pruneset(t') - rowidx(colptr(pruneset(t') + 1)) + 1 == 0",
+      "  evidence colptr(j) - colptr(pruneset(t')) == 0",
+      "  evidence colptr(j + 1) - colptr(pruneset(t') + 1) == 0",
+      "  evidence pruneptr(j) - pruneptr(pruneset(t')) == 0",
+      "  evidence pruneptr(j + 1) - pruneptr(pruneset(t') + 1) == 0",
+      "  evidence rowidx(colptr(j)) - rowidx(colptr(pruneset(t'))) == 0",
+      "  evidence rowidx(colptr(j + 1)) - rowidx(colptr(pruneset(t') + 1)) == 0",
+      "  evidence -j + pruneset(t') == 0",
+      "  evidence colptr(colptr(j)) - colptr(colptr(pruneset(t'))) == 0",
+      "  evidence colptr(colptr(j + 1)) - colptr(colptr(pruneset(t') + 1)) == 0",
+      "  evidence pruneptr(colptr(j)) - pruneptr(colptr(pruneset(t'))) == 0",
+      "  evidence pruneptr(colptr(j + 1)) - pruneptr(colptr(pruneset(t') + 1)) == 0",
+      "  core domain_range(colptr)",
+      "  core functional_consistency(colptr)",
+      "  core functional_consistency(pruneptr)",
+      "  core functional_consistency(rowidx)",
+      "  core segment_start_identity(rowidx, colptr)",
+      "  core strict_monotonic_increasing(colptr)",
+      "  core strict_monotonic_increasing(colptr) [contra-strict]",
+      "  core strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contra]",
+      "  core strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [contrapositive]",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "  core strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr)",
+      "  core strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  core strict_monotonic_increasing(pruneptr) [weak]",
+      "  core strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  core triangular_entries_ge(rowidx, colptr)",
+  };
+  EXPECT_EQ(runtimeEvidenceLines(), Expected);
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sds/obs/Trace.h"
 #include "sds/presburger/BasicSet.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,18 @@ using namespace sds::presburger;
 
 namespace {
 std::vector<int64_t> row(std::initializer_list<int64_t> L) { return L; }
+
+/// `Row . (P, 1) >= 0`.
+bool satisfies(const std::vector<int64_t> &Row, const std::vector<int64_t> &P) {
+  int64_t V = Row.back();
+  for (size_t J = 0; J < P.size(); ++J)
+    V += Row[J] * P[J];
+  return V >= 0;
+}
+
+uint64_t witnessSkips() {
+  return sds::obs::counter("basicset.witness_skips").value();
+}
 } // namespace
 
 TEST(BasicSet, NormalizeDetectsTrivialEmpty) {
@@ -104,6 +117,45 @@ TEST(BasicSet, DetectImplicitEqualityViaChain) {
   S.addInequality(row({-1, 1, 0})); // g - ip >= 0
   S.addInequality(row({1, -1, 0})); // ip - g >= 0
   EXPECT_EQ(S.detectImplicitEqualities(), 2u);
+}
+
+TEST(WitnessPool, RemapKeepsOnlyPointsInsideTheNewBase) {
+  // Base: 0 <= x <= 3, 0 <= y <= 3. The probe -x - y >= 0 leaves only
+  // (0, 0), so that is the pooled point (solved: the cache is cold).
+  clearQueryCache();
+  BasicSet Base(2);
+  Base.addInequality(row({1, 0, 0}));
+  Base.addInequality(row({-1, 0, 3}));
+  Base.addInequality(row({0, 1, 0}));
+  Base.addInequality(row({0, -1, 3}));
+  WitnessPool Pool;
+  ASSERT_EQ(Pool.probe(Base, row({-1, -1, 0}), 64), Ternary::False);
+  ASSERT_EQ(Pool.size(), 1u);
+
+  // Swapping the columns keeps the point, and it answers the next probe.
+  WitnessPool Kept = Pool;
+  Kept.remap({1, 0}, Base);
+  ASSERT_EQ(Kept.size(), 1u);
+  uint64_t Before = witnessSkips();
+  EXPECT_EQ(Kept.probe(Base, row({0, -1, 0}), 64), Ternary::False);
+  EXPECT_EQ(witnessSkips(), Before + 1);
+
+  // A column the old base did not have drops the point.
+  WitnessPool Widened = Pool;
+  Widened.remap({0, 1, WitnessPool::kNoColumn}, Base.insertVars(2, 1));
+  EXPECT_EQ(Widened.size(), 0u);
+
+  // So does a row the point violates; the next probe is then solved.
+  BasicSet Grown = Base;
+  Grown.addInequality(row({1, 1, -1})); // x + y >= 1
+  WitnessPool Cut = Pool;
+  Cut.remap({0, 1}, Grown);
+  EXPECT_EQ(Cut.size(), 0u);
+  Before = witnessSkips();
+  EXPECT_EQ(Cut.probe(Grown, row({-1, -1, 0}), 64), Ternary::True);
+  EXPECT_EQ(Cut.probe(Grown, row({1, 0, 0}), 64), Ternary::False);
+  EXPECT_EQ(witnessSkips(), Before);
+  EXPECT_EQ(Cut.size(), 1u);
 }
 
 TEST(BasicSet, ProjectOutExactUnitCoefficients) {
@@ -379,6 +431,83 @@ TEST_P(BasicSetRandomized, ProjectionIsSupersetAndExactWhenClaimed) {
       }
     }
   }
+}
+
+// detectImplicitEqualities against brute force: when none of its probes
+// is undecided, it promotes exactly the inequalities that are tight on
+// every integer point, and the set keeps its points. Every other seed
+// adds an opposite pair, so tight rows occur on non-empty sets too.
+TEST_P(BasicSetRandomized, ImplicitEqualitiesMatchBruteForce) {
+  std::mt19937 Rng(static_cast<unsigned>(GetParam()) + 3000);
+  BasicSet S = randomBoxedSet(Rng, 3, 3);
+  if (GetParam() % 2 == 0) {
+    std::uniform_int_distribution<int> Coef(-2, 2);
+    std::vector<int64_t> R = {Coef(Rng), Coef(Rng), Coef(Rng), Coef(Rng)};
+    S.addInequality(R);
+    for (int64_t &C : R)
+      C = -C;
+    S.addInequality(R);
+  }
+  BasicSet N = S;
+  if (!N.normalize()) {
+    EXPECT_EQ(S.detectImplicitEqualities(), 0u);
+    return;
+  }
+  auto Points = enumerateBox(N, 3);
+  std::vector<std::vector<int64_t>> Expected = N.equalities();
+  unsigned Tight = 0;
+  for (const auto &R : N.inequalities()) {
+    std::vector<int64_t> Strict = R;
+    Strict.back() -= 1;
+    BasicSet Probe = N;
+    Probe.addInequality(Strict);
+    if (Probe.isEmpty() == Ternary::Unknown)
+      GTEST_SKIP() << "undecided probe: " << Probe.str();
+    bool IsTight = true;
+    for (const auto &P : Points)
+      IsTight = IsTight && !satisfies(Strict, P);
+    if (IsTight) {
+      Expected.push_back(R);
+      ++Tight;
+    }
+  }
+  EXPECT_EQ(S.detectImplicitEqualities(), Tight) << N.str();
+  EXPECT_EQ(S.equalities(), Expected) << N.str();
+  EXPECT_EQ(enumerateBox(S, 3), Points) << N.str();
+}
+
+// The witness pool answers a probe only with a point inside it: a probe
+// the pool covers is never one that brute force finds empty, and every
+// verdict agrees with brute force. Repeating a satisfiable probe with a
+// weaker row must be answered by the pool.
+TEST_P(BasicSetRandomized, WitnessNeverCoversAnEmptyProbe) {
+  std::mt19937 Rng(static_cast<unsigned>(GetParam()) + 4000);
+  BasicSet Base = randomBoxedSet(Rng, 3, 3);
+  bool BaseEmpty = enumerateBox(Base, 3).empty();
+  std::uniform_int_distribution<int> Coef(-2, 2);
+  std::uniform_int_distribution<int> Cst(-4, 4);
+  WitnessPool Pool;
+  for (int I = 0; I < 24; ++I) {
+    std::vector<int64_t> Row = {Coef(Rng), Coef(Rng), Coef(Rng), Cst(Rng)};
+    BasicSet Probe = Base;
+    Probe.addInequality(Row);
+    bool BruteEmpty = enumerateBox(Probe, 3).empty();
+    uint64_t Before = witnessSkips();
+    Ternary T = Pool.probe(Base, Row, /*NodeBudget=*/256);
+    bool Covered = witnessSkips() > Before;
+    EXPECT_FALSE(Covered && BruteEmpty) << "covered empty probe " << Probe.str();
+    ASSERT_NE(T, Ternary::Unknown) << Probe.str();
+    EXPECT_EQ(T == Ternary::True, BruteEmpty) << Probe.str();
+  }
+  // x0 + 3 >= 0 holds on the whole box; once a point is pooled, the
+  // weaker x0 + 4 >= 0 is covered without a solve. The cache is cleared
+  // first because a cached verdict carries no point.
+  clearQueryCache();
+  Pool.probe(Base, {1, 0, 0, 3}, /*NodeBudget=*/256);
+  uint64_t Before = witnessSkips();
+  EXPECT_EQ(Pool.probe(Base, {1, 0, 0, 4}, /*NodeBudget=*/256),
+            BaseEmpty ? Ternary::True : Ternary::False);
+  EXPECT_EQ(witnessSkips() > Before, !BaseEmpty);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BasicSetRandomized,
