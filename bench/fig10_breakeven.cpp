@@ -10,9 +10,8 @@
 // and printed as "-".
 //
 // Extended with the schedule post-pass comparison (DESIGN.md §14): every
-// (kernel, matrix) cell is executed under the barrier LBC, coalesced and
-// barrier-free P2P schedules; the barrier time also feeds the break-even
-// column. The end-to-end executor times plus the machine-independent
+// (kernel, matrix) cell is executed under the LBC and coalesced
+// schedules; the LBC time also feeds the break-even column. The end-to-end executor times plus the machine-independent
 // schedule shapes (waves/chunks at a fixed 8 threads) land in
 // BENCH_schedule.json for the regression gate.
 //
@@ -65,7 +64,7 @@ int main(int argc, char **argv) {
     std::printf(" %11s", M.Name.c_str());
   std::printf("   inspector/serial\n");
 
-  // The three executor shapes of the schedule comparison. LBC is the
+  // The two executor shapes of the schedule comparison. LBC is the
   // barrier baseline the pass framework starts from.
   struct Shape {
     const char *Label;
@@ -75,8 +74,7 @@ int main(int argc, char **argv) {
     uint64_t Chunks8 = 0; ///< non-empty chunks at fixed 8 threads
   };
   Shape Shapes[] = {{"barrier", ScheduleKind::LBC},
-                    {"coalesced", ScheduleKind::Coalesced},
-                    {"p2p", ScheduleKind::P2P}};
+                    {"coalesced", ScheduleKind::Coalesced}};
   int Cells = 0, HighWaveCells = 0, HighWaveWins = 0;
   bool AllCertified = true, PullBitIdentical = true, AtomicWithinTol = true;
 
@@ -126,7 +124,7 @@ int main(int argc, char **argv) {
         if (Sh.Kind == ScheduleKind::LBC)
           CellBarrier = T;
         else
-          CellBest = std::min(CellBest, T); // the coalesced/P2P-vs-barrier win
+          CellBest = std::min(CellBest, T); // the coalesced-vs-barrier win
         if (I.Output && !SerialOut.empty()) {
           std::vector<double> Out = I.Output();
           if (K.PullBased)
@@ -195,8 +193,6 @@ int main(int argc, char **argv) {
   Sched.set("cells", static_cast<uint64_t>(Cells));
   for (const Shape &Sh : Shapes)
     Sched.set(std::string(Sh.Label) + "_seconds", Sh.Seconds);
-  Sched.set("p2p_speedup_vs_barrier",
-            Shapes[2].Seconds > 0 ? BarrierSec / Shapes[2].Seconds : 0.0);
   Sched.set("waves8_barrier", Shapes[0].Waves8);
   Sched.set("waves8_coalesced", Shapes[1].Waves8);
   Sched.set("chunks8_barrier", Shapes[0].Chunks8);

@@ -53,7 +53,7 @@ int main(int argc, char **argv) {
   // Per-shape speedups from the schedule post-pass framework, printed as
   // a companion table and summarized per kind in BENCH_fig9.json.
   const std::pair<const char *, ScheduleKind> ShapeKinds[] = {
-      {"coalesced", ScheduleKind::Coalesced}, {"p2p", ScheduleKind::P2P}};
+      {"coalesced", ScheduleKind::Coalesced}};
   std::map<std::string, double> ShapeSpeedupSum;
   std::vector<std::string> ShapeRows;
   for (bench::WiredKernel &K : Kernels) {

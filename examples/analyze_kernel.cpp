@@ -137,13 +137,12 @@ void runTraced(const std::string &Key, const kernels::Kernel &K,
   rt::CompiledSchedule CS = rt::buildSchedule(Insp.Graph, SC);
   rt::CompiledScheduleStats SS = rt::describeSchedule(CS);
   std::printf("schedule [%s]: %d waves / %llu chunks over %llu nodes, "
-              "critical work %llu, parallelism %.2f%s\n",
+              "critical work %llu, parallelism %.2f\n",
               rt::scheduleKindName(SC.Kind), SS.Base.NumWaves,
               static_cast<unsigned long long>(SS.NumChunks),
               static_cast<unsigned long long>(SS.Base.TotalNodes),
               static_cast<unsigned long long>(SS.Base.CriticalWork),
-              SS.Base.achievedParallelism(),
-              SS.P2P ? " (barrier-free P2P)" : "");
+              SS.Base.achievedParallelism());
   if (!SS.Base.WaveSizes.empty()) {
     uint64_t MinWave = SS.Base.WaveSizes.front();
     for (uint64_t W : SS.Base.WaveSizes)
@@ -265,26 +264,30 @@ int explainDeps(const artifact::CompiledKernel &CK, const std::string &Pat) {
   return 0;
 }
 
+/// Analyze one kernel. A non-null `Eng` (--metrics) routes the compile
+/// through that engine, which main keeps alive until the snapshot is
+/// written, so its engine.* gauges are in it.
 int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
                int N, int Threads, double BudgetMs,
                std::optional<rt::ScheduleKind> ScheduleKind,
                const GuardFlags &GF, const ArtifactFlags &AF,
-               const std::string &Explain, bool Infer) {
+               const std::string &Explain, bool Infer, engine::Engine *Eng) {
   std::printf("=== %s ===\n%s\n", K.Name.c_str(), K.str().c_str());
   ir::PropertySet InferredProps;
+  std::optional<codegen::UFEnvironment> InferEnv;
   if (Infer) {
     if (!AF.LoadPath.empty()) {
       std::fprintf(stderr, "--infer analyzes fresh; it cannot be combined "
                            "with --load-artifact\n");
       return 1;
     }
-    std::optional<codegen::UFEnvironment> Env = bindForInfer(Key, N);
-    if (!Env) {
+    InferEnv = bindForInfer(Key, N);
+    if (!InferEnv) {
       std::fprintf(stderr, "--infer: no matrix binding for kernel '%s'\n",
                    Key.c_str());
       return 1;
     }
-    infer::InferenceResult Inf = infer::inferProperties(*Env);
+    infer::InferenceResult Inf = infer::inferProperties(*InferEnv);
     std::printf("inference: %s\n", Inf.summary().c_str());
     // The unannotated-matrix scenario: drop every declaration and let the
     // analysis lean only on what the profiler confirmed from the data.
@@ -292,7 +295,6 @@ int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
     InferredProps = std::move(Inf.Confirmed);
   }
   artifact::CompiledKernel CK;
-  std::optional<engine::Engine> Eng;
   if (!AF.LoadPath.empty()) {
     auto T0 = std::chrono::steady_clock::now();
     support::Status S = artifact::load(AF.LoadPath, CK);
@@ -316,27 +318,19 @@ int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
     if (WarmS > 0 && ColdS > 0)
       std::printf(", %.0fx faster", ColdS / WarmS);
     std::printf(")\n");
-  } else if (obs::metricsEnabled()) {
-    // --metrics routes the compile through an Engine so the snapshot's
-    // engine.kernel.* histograms and warm/cold gauges carry samples:
-    // first call fills cold, second hits the kernel tier warm.
-    engine::EngineOptions EOpts;
-    EOpts.Analysis.NumThreads = Threads;
-    EOpts.Analysis.AnalysisBudgetMs = BudgetMs;
-    EOpts.Analysis.Speculate = Infer;
-    EOpts.Analysis.InferredProps = InferredProps;
-    EOpts.Inspect.NumThreads = Threads;
-    if (ScheduleKind)
-      EOpts.Schedule.Kind = *ScheduleKind;
-    EOpts.Schedule.NumThreads = Threads;
-    Eng.emplace(std::move(EOpts));
+  } else if (Eng) {
+    // The snapshot's engine.kernel.* histograms and warm/cold gauges carry
+    // samples: the first call fills cold, the second hits the kernel tier
+    // warm. With --infer the engine profiles the same binding itself.
+    auto Compile = [&] {
+      return InferEnv ? Eng->compiled(K, *InferEnv) : Eng->compiled(K);
+    };
     auto T0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const artifact::CompiledKernel> Shared =
-        Eng->compiled(K);
+    std::shared_ptr<const artifact::CompiledKernel> Shared = Compile();
     double ColdS = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - T0)
                        .count();
-    (void)Eng->compiled(K); // warm hit
+    (void)Compile(); // warm hit
     CK = *Shared;
     std::printf("%s\n", CK.summary().c_str());
     std::printf("cold analysis (engine): %.3f ms\n", ColdS * 1e3);
@@ -380,7 +374,7 @@ int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
                 AF.EmitPath.c_str(), AF.EmitPath.c_str());
   }
   if (Traced)
-    runTraced(Key, K, CK, N, Threads, SC, GF, Eng ? &*Eng : nullptr);
+    runTraced(Key, K, CK, N, Threads, SC, GF, Eng);
   return 0;
 }
 
@@ -436,7 +430,7 @@ int main(int argc, char **argv) {
       ScheduleKind = rt::parseScheduleKind(Arg.substr(11));
       if (!ScheduleKind) {
         std::fprintf(stderr,
-                     "--schedule expects levels|lbc|coalesced|p2p\n");
+                     "--schedule expects levels|lbc|coalesced\n");
         return 1;
       }
     } else if (Arg == "--budget-ms" && I + 1 < argc) {
@@ -467,7 +461,7 @@ int main(int argc, char **argv) {
     std::printf(
         "usage: %s [--trace out.json] [--metrics[=PATH]] "
         "[--n N] [--threads N] "
-        "[--schedule=levels|lbc|coalesced|p2p] "
+        "[--schedule=levels|lbc|coalesced] "
         "[--validate] [--guard=off|warn|fallback] [--budget-ms MS] "
         "[--emit-artifact=PATH] [--load-artifact=PATH] "
         "[--explain=<dep>|all] [--infer] "
@@ -501,6 +495,22 @@ int main(int argc, char **argv) {
   if (Metrics)
     obs::setMetricsEnabled(true);
 
+  // One engine for every analyzed kernel, alive until the snapshot below.
+  // A loaded artifact skips it: there is nothing for it to compile.
+  std::optional<engine::Engine> Eng;
+  if (Metrics && AF.LoadPath.empty()) {
+    engine::EngineOptions EOpts;
+    EOpts.Analysis.NumThreads = Threads;
+    EOpts.Analysis.AnalysisBudgetMs = BudgetMs;
+    EOpts.Analysis.Speculate = Infer;
+    EOpts.Inspect.NumThreads = Threads;
+    if (ScheduleKind)
+      EOpts.Schedule.Kind = *ScheduleKind;
+    EOpts.Schedule.NumThreads = Threads;
+    Eng.emplace(std::move(EOpts));
+  }
+  engine::Engine *EngPtr = Eng ? &*Eng : nullptr;
+
   std::string Which = Positional[0];
   if (Which == "all") {
     if (!AF.EmitPath.empty() || !AF.LoadPath.empty()) {
@@ -511,7 +521,7 @@ int main(int argc, char **argv) {
     }
     for (auto &[Key, K] : Kernels)
       if (int RC = analyzeOne(Key, K, Traced, N, Threads, BudgetMs,
-                              ScheduleKind, GF, {}, Explain, Infer))
+                              ScheduleKind, GF, {}, Explain, Infer, EngPtr))
         return RC;
   } else {
     auto It = Kernels.find(Which);
@@ -549,7 +559,7 @@ int main(int argc, char **argv) {
     }
 
     if (int RC = analyzeOne(Which, K, Traced, N, Threads, BudgetMs,
-                            ScheduleKind, GF, AF, Explain, Infer))
+                            ScheduleKind, GF, AF, Explain, Infer, EngPtr))
       return RC;
   }
 

@@ -12,7 +12,7 @@
 //   SDS_THREADS=8 wavefront_solver    # executor thread count
 //
 // Schedule shape (sds::rt schedule post-pass framework, DESIGN.md §14):
-//   --schedule=levels|lbc|coalesced|p2p   executor schedule kind
+//   --schedule=levels|lbc|coalesced   executor schedule kind
 //                         (default: the artifact's recorded spec, else lbc)
 //
 // Robustness flags (sds::guard):
@@ -92,14 +92,14 @@ int main(int argc, char **argv) {
       Kind = parseScheduleKind(Arg.substr(11));
       if (!Kind) {
         std::fprintf(stderr,
-                     "--schedule expects levels|lbc|coalesced|p2p\n");
+                     "--schedule expects levels|lbc|coalesced\n");
         return 1;
       }
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr,
                    "usage: %s [--validate] [--guard=off|warn|fallback] "
                    "[--budget-ms MS] [--metrics[=PATH]] "
-                   "[--schedule=levels|lbc|coalesced|p2p] "
+                   "[--schedule=levels|lbc|coalesced] "
                    "[--emit-artifact=PATH] "
                    "[--load-artifact=PATH] [A.mtx]\n",
                    argv[0]);
@@ -214,12 +214,11 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(Insp.Graph.numEdges()),
               Threads);
   std::printf("schedule [%s]: %d waves / %llu chunks, critical work %llu, "
-              "parallelism %.2f%s\n",
+              "parallelism %.2f\n",
               scheduleKindName(SC.Kind), SS.Base.NumWaves,
               static_cast<unsigned long long>(SS.NumChunks),
               static_cast<unsigned long long>(SS.Base.CriticalWork),
-              SS.Base.achievedParallelism(),
-              SS.P2P ? " (barrier-free P2P)" : "");
+              SS.Base.achievedParallelism());
 
   // -- Executor (hundreds of times in a real solver). ----------------------
   std::vector<double> B(static_cast<size_t>(L.N), 1.0), XS, XP;

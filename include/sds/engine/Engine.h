@@ -52,9 +52,9 @@ struct EngineOptions {
   deps::PipelineOptions Analysis;   ///< used when a kernel compiles cold
   driver::InspectorOptions Inspect; ///< inspector fleet width
   /// The schedule shape the matrix tier memoizes: kind + pass knobs +
-  /// thread count, all part of the matrix cache key (a coalesced
-  /// 4-thread schedule is useless to a P2P 8-thread executor). Defaults
-  /// to the pre-framework engine behavior: plain level sets, 4 threads.
+  /// thread count, all part of the matrix cache key (a coalesced 4-thread
+  /// schedule is useless to an 8-thread level-set executor). Defaults to
+  /// the pre-framework engine behavior: plain level sets, 4 threads.
   rt::ScheduleConfig Schedule = {rt::ScheduleKind::Levels, /*NumThreads=*/4};
   /// Matrix-tier capacity; the least-recently-used entry is evicted past
   /// this (every plan() hit refreshes recency, so a hot plan survives a

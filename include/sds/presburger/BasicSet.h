@@ -174,29 +174,6 @@ struct ProjectResult {
   bool Exact; ///< True when the integer projection is represented exactly.
 };
 
-/// A finite union of BasicSets (disjunctive normal form). Used for the
-/// instantiation phase that introduces disjunctions (§6.2) and for subset
-/// tests over simplified relations.
-class SetUnion {
-public:
-  SetUnion() = default;
-  explicit SetUnion(BasicSet BS) { Pieces.push_back(std::move(BS)); }
-
-  bool empty() const { return Pieces.empty(); }
-  const std::vector<BasicSet> &pieces() const { return Pieces; }
-  void add(BasicSet BS) { Pieces.push_back(std::move(BS)); }
-
-  /// Proven-empty iff every piece is proven empty.
-  Ternary isEmpty(unsigned NodeBudget = 64) const;
-
-  /// Conservative subset test: each piece of *this must be proven contained
-  /// in some single piece of `Other` (sufficient, not necessary).
-  Ternary isSubsetOf(const SetUnion &Other, unsigned NodeBudget = 64) const;
-
-private:
-  std::vector<BasicSet> Pieces;
-};
-
 /// Pretty-print a single constraint row, e.g. "i - j + 2 >= 0".
 std::string formatConstraintRow(const std::vector<int64_t> &Row, bool IsEq,
                                 const std::vector<std::string> &Names);

@@ -62,12 +62,10 @@ void leftCholeskyCSCSerial(CSCMatrix &L);
 // Compiled-schedule executors
 //===----------------------------------------------------------------------===//
 //
-// Run a CompiledSchedule of any kind (build one with buildSchedule()).
-// Barrier kinds (levels/lbc/coalesced) run wave by wave with a barrier
-// between waves; a P2P schedule runs barrier-free on atomic
-// remaining-predecessor counters. All five produce the same results as
-// their serial reference (bit-identical for the pull-based kernels;
-// last-ulp for the two that use commutative atomic updates —
+// Run a CompiledSchedule of any kind (build one with buildSchedule())
+// wave by wave, with a barrier between waves. All five produce the same
+// results as their serial reference (bit-identical for the pull-based
+// kernels; last-ulp for the two that use commutative atomic updates —
 // DESIGN.md §14).
 
 void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,

@@ -997,7 +997,7 @@ std::string abiFingerprint() {
   Blob += ";sched:";
   for (rt::ScheduleKind K :
        {rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
-        rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P})
+        rt::ScheduleKind::Coalesced})
     Blob += std::string(rt::scheduleKindName(K)) + ",";
   return "v" + std::to_string(schema::kVersion) + "-" + fnv1aHex(Blob);
 }

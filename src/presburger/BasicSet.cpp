@@ -42,56 +42,6 @@ static int64_t variableGcd(const std::vector<int64_t> &Row, unsigned NumVars) {
   return G;
 }
 
-bool BasicSet::normalize() {
-  std::vector<std::vector<int64_t>> NewEqs, NewIneqs;
-  std::set<std::vector<int64_t>> SeenEq, SeenIneq;
-
-  for (auto &Row : Eqs) {
-    int64_t G = variableGcd(Row, NumVars);
-    if (G == 0) {
-      if (Row[NumVars] != 0)
-        return false; // 0 == c, c != 0
-      continue;
-    }
-    if (Row[NumVars] % G != 0)
-      return false; // no integer solution for this equality
-    std::vector<int64_t> R = Row;
-    for (auto &C : R)
-      C /= G;
-    // Canonical sign: first nonzero variable coefficient positive.
-    for (unsigned J = 0; J < NumVars; ++J) {
-      if (R[J] == 0)
-        continue;
-      if (R[J] < 0)
-        for (auto &C : R)
-          C = -C;
-      break;
-    }
-    if (SeenEq.insert(R).second)
-      NewEqs.push_back(std::move(R));
-  }
-
-  for (auto &Row : Ineqs) {
-    int64_t G = variableGcd(Row, NumVars);
-    if (G == 0) {
-      if (Row[NumVars] < 0)
-        return false; // 0 >= -c with c > 0
-      continue;
-    }
-    std::vector<int64_t> R = Row;
-    for (unsigned J = 0; J < NumVars; ++J)
-      R[J] /= G;
-    // Integer tightening: constant rounds toward -inf.
-    R[NumVars] = floorDiv64(R[NumVars], G);
-    if (SeenIneq.insert(R).second)
-      NewIneqs.push_back(std::move(R));
-  }
-
-  Eqs = std::move(NewEqs);
-  Ineqs = std::move(NewIneqs);
-  return true;
-}
-
 /// Friend of BasicSet (declared in the header): grants the emptiness
 /// machinery in this file direct access to the constraint storage so row
 /// tags can be kept parallel to the rows through normalization.
@@ -129,10 +79,12 @@ struct TaggedSet {
   }
 };
 
-/// BasicSet::normalize with tag bookkeeping: GCD-reduce, drop trivially
-/// true rows, sign-canonicalize equalities, deduplicate keeping the first
-/// occurrence (and its tag). Returns false when a row alone is
-/// unsatisfiable, reporting that row's tag in `BadTag`.
+/// Normalization with tag bookkeeping (BasicSet::normalize drops the
+/// tags): GCD-reduce, tighten inequality constants toward -inf, drop
+/// trivially true rows, sign-canonicalize equalities, deduplicate keeping
+/// the first occurrence (and its tag). Returns false when a row alone is
+/// unsatisfiable, reporting that row's tag in `BadTag`; the set is then
+/// left unchanged.
 bool normalizeTagged(TaggedSet &T, uint32_t &BadTag) {
   unsigned NumVars = T.S.numVars();
   std::vector<std::vector<int64_t>> NewEqs, NewIneqs;
@@ -157,6 +109,7 @@ bool normalizeTagged(TaggedSet &T, uint32_t &BadTag) {
     std::vector<int64_t> R = Row;
     for (auto &C : R)
       C /= G;
+    // Canonical sign: first nonzero variable coefficient positive.
     for (unsigned J = 0; J < NumVars; ++J) {
       if (R[J] == 0)
         continue;
@@ -185,6 +138,7 @@ bool normalizeTagged(TaggedSet &T, uint32_t &BadTag) {
     std::vector<int64_t> R = Row;
     for (unsigned J = 0; J < NumVars; ++J)
       R[J] /= G;
+    // Integer tightening: constant rounds toward -inf.
     R[NumVars] = floorDiv64(R[NumVars], G);
     if (SeenIneq.insert(R).second) {
       NewIneqs.push_back(std::move(R));
@@ -753,6 +707,14 @@ void appendCanonicalNormalized(std::string &Out, const BasicSet &N) {
 }
 
 } // namespace
+
+bool BasicSet::normalize() {
+  TaggedSet T(std::move(*this));
+  uint32_t BadTag;
+  bool Ok = normalizeTagged(T, BadTag);
+  *this = std::move(T.S); // unchanged when !Ok
+  return Ok;
+}
 
 QueryCacheStats queryCacheStats() {
   QueryCache &C = queryCache();
@@ -1487,42 +1449,6 @@ BasicSet::projectOut(std::vector<unsigned> Positions) const {
     Out.addInequality(Compress(Row));
   Out.normalize();
   return {std::move(Out), Exact};
-}
-
-//===----------------------------------------------------------------------===//
-// SetUnion
-//===----------------------------------------------------------------------===//
-
-Ternary SetUnion::isEmpty(unsigned NodeBudget) const {
-  bool SawUnknown = false;
-  for (const BasicSet &BS : Pieces) {
-    Ternary T = BS.isEmpty(NodeBudget);
-    if (T == Ternary::False)
-      return Ternary::False;
-    if (T == Ternary::Unknown)
-      SawUnknown = true;
-  }
-  return SawUnknown ? Ternary::Unknown : Ternary::True;
-}
-
-Ternary SetUnion::isSubsetOf(const SetUnion &Other,
-                             unsigned NodeBudget) const {
-  bool SawUnknown = false;
-  for (const BasicSet &Mine : Pieces) {
-    if (Mine.isEmpty(NodeBudget) == Ternary::True)
-      continue;
-    bool Contained = false;
-    for (const BasicSet &Theirs : Other.Pieces) {
-      if (Mine.isSubsetOf(Theirs, NodeBudget) == Ternary::True) {
-        Contained = true;
-        break;
-      }
-    }
-    if (!Contained) {
-      SawUnknown = true; // might still be covered jointly; stay conservative
-    }
-  }
-  return SawUnknown ? Ternary::Unknown : Ternary::True;
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,12 +9,9 @@
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
 
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <optional>
-#include <thread>
 
 #include "sds/support/OMP.h"
 
@@ -260,27 +257,25 @@ std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
   return Sp;
 }
 
-/// Stall distributions (ns, per thread per executor run), recorded only
-/// when the metrics registry is on: time spent in the per-wave barrier
-/// (imbalance wait) vs time spent spinning on P2P ready counters. The
-/// barrier-vs-P2P comparison in BENCH_schedule.json reads these.
+/// Barrier stall distribution (ns, per thread per wave), recorded only
+/// when the metrics registry is on: the time each thread waits in the
+/// per-wave barrier for the slowest partition (imbalance wait).
 obs::Histogram &barrierStallHistogram() {
   static obs::Histogram &H = obs::histogram("rt.barrier_stall_ns");
   return H;
 }
 
-obs::Histogram &p2pStallHistogram() {
-  static obs::Histogram &H = obs::histogram("rt.p2p_stall_ns");
-  return H;
-}
-
-/// Barrier-mode loop: one OpenMP thread per partition, a barrier between
-/// waves.
+/// Run `Body(Node, Thread)` once per node of the schedule: one OpenMP
+/// thread per partition, a barrier between waves. `Thread` is the
+/// executing team member, always < the schedule's partition width.
 template <typename BodyFn>
-void runBarrierCompiled(const CompiledSchedule &CS, BodyFn &&Body) {
+void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
   const WavefrontSchedule &S = CS.Waves;
-  [[maybe_unused]] int NumThreads = // read only by the OpenMP pragma
-      S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
+  int NumThreads = S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
+  obs::Span Total("wavefront.execute", "rt");
+  Total.tag("waves", static_cast<int64_t>(S.Waves.size()));
+  Total.tag("threads", static_cast<int64_t>(NumThreads));
+  Total.tag("kind", scheduleKindName(CS.Config.Kind));
 #ifdef _OPENMP
 #pragma omp parallel num_threads(NumThreads)
 #endif
@@ -306,89 +301,6 @@ void runBarrierCompiled(const CompiledSchedule &CS, BodyFn &&Body) {
         waveHistogram().record(obs::nowNs() - WT0);
     }
   }
-}
-
-/// P2P (barrier-free) compiled-schedule loop. Every thread walks its own
-/// chunks in (wave, partition) order — ascending in the schedule's global
-/// order — and gates each node on an atomic remaining-predecessor
-/// counter seeded from the graph's in-degrees. Executing a node
-/// fetch_sub(release)es each successor's counter; the consumer's
-/// load(acquire) makes the producer's plain stores visible. No thread
-/// ever waits at a wave boundary: it runs ahead as soon as its own next
-/// node's predecessors have retired.
-///
-/// Deadlock-freedom: among unexecuted nodes, take the minimal one v in
-/// (wave, partition, position) order. Schedule validity puts every
-/// predecessor of v strictly earlier in that order; each is owned by some
-/// thread and precedes that thread's first unexecuted node (>= v), so it
-/// has already executed — v's counter is zero and its owner proceeds.
-template <typename BodyFn>
-void runP2PCompiled(const CompiledSchedule &CS, BodyFn &&Body) {
-  const WavefrontSchedule &S = CS.Waves;
-  [[maybe_unused]] int NumThreads = // read only by the OpenMP pragma
-      S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
-  size_t N = CS.InDegree.size();
-  std::unique_ptr<std::atomic<int>[]> Remaining(new std::atomic<int>[N]);
-  for (size_t I = 0; I < N; ++I)
-    Remaining[I].store(CS.InDegree[I], std::memory_order_relaxed);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(NumThreads)
-#endif
-  {
-    int T = omp_get_thread_num();
-    size_t Team = static_cast<size_t>(omp_get_num_threads());
-    uint64_t StallNs = 0;
-    auto Await = [&](int Node) {
-      if (Remaining[static_cast<size_t>(Node)].load(
-              std::memory_order_acquire) == 0)
-        return;
-      uint64_t T0 = obs::metricsEnabled() ? obs::nowNs() : 0;
-      int Spins = 0;
-      while (Remaining[static_cast<size_t>(Node)].load(
-                 std::memory_order_acquire) != 0)
-        if (++Spins == 1024) {
-          Spins = 0;
-          std::this_thread::yield();
-        }
-      if (T0)
-        StallNs += obs::nowNs() - T0;
-    };
-    auto Retire = [&](int Node) {
-      size_t B = CS.SuccPtr[static_cast<size_t>(Node)];
-      size_t E = CS.SuccPtr[static_cast<size_t>(Node) + 1];
-      for (size_t I = B; I < E; ++I)
-        Remaining[static_cast<size_t>(CS.SuccDst[I])].fetch_sub(
-            1, std::memory_order_release);
-    };
-    for (size_t W = 0; W < S.Waves.size(); ++W)
-      for (size_t P = static_cast<size_t>(T); P < S.Waves[W].size();
-           P += Team)
-        for (int Node : S.Waves[W][P]) {
-          Await(Node);
-          Body(Node, T);
-          Retire(Node);
-        }
-    if (StallNs)
-      p2pStallHistogram().record(StallNs);
-  }
-}
-
-/// Entry point: run `Body(Node, Thread)` once per node of the schedule,
-/// through the barrier or the P2P loop. `Thread` is the executing team
-/// member, always < the schedule's partition width.
-template <typename BodyFn>
-void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
-  int NumThreads = CS.Waves.Waves.empty()
-                       ? 1
-                       : static_cast<int>(CS.Waves.Waves[0].size());
-  obs::Span Total("wavefront.execute", "rt");
-  Total.tag("waves", static_cast<int64_t>(CS.Waves.Waves.size()));
-  Total.tag("threads", static_cast<int64_t>(NumThreads));
-  Total.tag("kind", scheduleKindName(CS.Config.Kind));
-  if (CS.UsesP2P)
-    runP2PCompiled(CS, Body);
-  else
-    runBarrierCompiled(CS, Body);
 }
 
 } // namespace
@@ -417,8 +329,8 @@ void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
     double XJ = XP[J];
     for (int P = L.ColPtr[J] + 1; P < L.ColPtr[J + 1]; ++P) {
       double Delta = L.Val[static_cast<size_t>(P)] * XJ;
-      // Cross-column updates commute; with P2P they may also overlap
-      // across wave boundaries, which the atomic covers equally.
+      // Columns of one wave may update the same row; the updates
+      // commute, so the atomic only has to make each one whole.
 #ifdef _OPENMP
 #pragma omp atomic
 #endif

@@ -30,8 +30,6 @@ const char *scheduleKindName(ScheduleKind K) {
     return "lbc";
   case ScheduleKind::Coalesced:
     return "coalesced";
-  case ScheduleKind::P2P:
-    return "p2p";
   }
   return "?";
 }
@@ -43,8 +41,6 @@ std::optional<ScheduleKind> parseScheduleKind(std::string_view Name) {
     return ScheduleKind::LBC;
   if (Name == "coalesced")
     return ScheduleKind::Coalesced;
-  if (Name == "p2p")
-    return ScheduleKind::P2P;
   return std::nullopt;
 }
 
@@ -232,28 +228,6 @@ void coalesceWaves(const DependenceGraph &G,
   S.Waves.Waves = std::move(Out);
 }
 
-//===----------------------------------------------------------------------===//
-// P2P lowering
-//===----------------------------------------------------------------------===//
-
-/// Snapshot in-degrees and the successor CSR into the schedule and set
-/// UsesP2P: the executors then gate each node on a ready counter.
-void lowerToP2P(const DependenceGraph &G, CompiledSchedule &S) {
-  int N = G.numNodes();
-  S.InDegree.assign(static_cast<size_t>(N), 0);
-  S.SuccPtr.assign(static_cast<size_t>(N) + 1, 0);
-  S.SuccDst.clear();
-  S.SuccDst.reserve(static_cast<size_t>(G.numEdges()));
-  for (int U = 0; U < N; ++U) {
-    for (int V : G.successors(U)) {
-      ++S.InDegree[static_cast<size_t>(V)];
-      S.SuccDst.push_back(V);
-    }
-    S.SuccPtr[static_cast<size_t>(U) + 1] = S.SuccDst.size();
-  }
-  S.UsesP2P = true;
-}
-
 } // namespace
 
 CompiledSchedule buildSchedule(const DependenceGraph &G,
@@ -272,15 +246,10 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
     LC.MinWorkPerThread = C.MinWorkPerThread;
     S.Waves = scheduleLBC(G, LC, NodeCost);
   }
-  if (C.Kind == ScheduleKind::Coalesced || C.Kind == ScheduleKind::P2P) {
+  if (C.Kind == ScheduleKind::Coalesced) {
     obs::Span PassSp("schedule.pass", "rt");
     PassSp.tag("pass", "coalesce-waves");
     coalesceWaves(G, NodeCost, S);
-  }
-  if (C.Kind == ScheduleKind::P2P) {
-    obs::Span PassSp("schedule.pass", "rt");
-    PassSp.tag("pass", "p2p-lowering");
-    lowerToP2P(G, S);
   }
   CompiledScheduleStats St = describeSchedule(S);
   Sp.tag("waves", static_cast<int64_t>(St.Base.NumWaves));
@@ -299,36 +268,12 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
 //===----------------------------------------------------------------------===//
 
 bool certifySchedule(const DependenceGraph &G, const CompiledSchedule &S) {
-  if (!S.Waves.respects(G))
-    return false;
-  if (S.UsesP2P) {
-    int N = G.numNodes();
-    if (static_cast<int>(S.InDegree.size()) != N ||
-        S.SuccPtr.size() != static_cast<size_t>(N) + 1)
-      return false;
-    std::vector<int> InDeg(static_cast<size_t>(N), 0);
-    for (int U = 0; U < N; ++U) {
-      std::span<const int> Succ = G.successors(U);
-      size_t B = S.SuccPtr[static_cast<size_t>(U)];
-      size_t E = S.SuccPtr[static_cast<size_t>(U) + 1];
-      if (E - B != Succ.size() || E > S.SuccDst.size())
-        return false;
-      for (size_t I = 0; I < Succ.size(); ++I) {
-        if (S.SuccDst[B + I] != Succ[I])
-          return false;
-        ++InDeg[static_cast<size_t>(Succ[I])];
-      }
-    }
-    if (InDeg != S.InDegree)
-      return false;
-  }
-  return true;
+  return S.Waves.respects(G);
 }
 
 CompiledScheduleStats describeSchedule(const CompiledSchedule &S) {
   CompiledScheduleStats St;
   St.Base = describeSchedule(S.Waves);
-  St.P2P = S.UsesP2P;
   for (const auto &Wave : S.Waves.Waves)
     for (const auto &Chunk : Wave)
       if (!Chunk.empty())

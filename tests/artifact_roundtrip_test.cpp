@@ -405,21 +405,21 @@ TEST(ArtifactRejection, CorruptTruncatedSkewedBlobs) {
     expectRejected(Wrong, "not a compiled-kernel blob", "wrong magic");
   }
 
-  // A removed schedule kind: a current-ABI blob naming "vector", resealed
-  // with a matching checksum so the payload decoder itself must reject it.
-  {
+  // Removed schedule kinds: a current-ABI blob naming one, resealed with a
+  // matching checksum so the payload decoder itself must reject it.
+  for (const char *Removed : {"vector", "p2p"}) {
     json::ParseResult P = json::parse(Blob);
     ASSERT_TRUE(P.Ok) << P.Error;
     json::Object Root = P.Val.asObject();
     json::Object Payload = Root.at("payload").asObject();
     json::Object Sched = Payload.at("schedule").asObject();
-    Sched.insert_or_assign("kind", json::Value(std::string("vector")));
+    Sched.insert_or_assign("kind", json::Value(std::string(Removed)));
     Payload.insert_or_assign("schedule", json::Value(std::move(Sched)));
     json::Value Sealed(std::move(Payload));
     Root.insert_or_assign("checksum", json::Value(payloadChecksum(Sealed)));
     Root.insert_or_assign("payload", std::move(Sealed));
     expectRejected(json::Value(std::move(Root)).str(), "schedule.kind",
-                   "removed vector kind");
+                   std::string("removed ") + Removed + " kind");
   }
 }
 

@@ -179,9 +179,9 @@ TEST(ParallelDeterminism, EveryScheduleKindCertifiesOnEveryKernel) {
       {"ic0_csc", kernels::incompleteCholeskyCSC(), reducedOptions(), 50},
       {"lchol_csc", kernels::leftCholeskyCSC(), reducedOptions(), 50},
   };
-  const rt::ScheduleKind Kinds[] = {
-      rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
-      rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P};
+  const rt::ScheduleKind Kinds[] = {rt::ScheduleKind::Levels,
+                                    rt::ScheduleKind::LBC,
+                                    rt::ScheduleKind::Coalesced};
   for (const Entry &E : Suite) {
     SuiteCase C = wire(E.Key, E.K, E.Opts, E.N, 47);
     driver::InspectionResult Insp =

@@ -257,30 +257,6 @@ TEST(BasicSet, PrintReadable) {
   EXPECT_NE(Str.find("i - 2 >= 0"), std::string::npos);
 }
 
-TEST(SetUnion, EmptinessAndSubset) {
-  BasicSet A(1), B(1), C(1);
-  A.addInequality(row({1, 0}));    // x >= 0
-  A.addInequality(row({-1, 3}));   // x <= 3
-  B.addInequality(row({1, -5}));   // x >= 5
-  B.addInequality(row({-1, 8}));   // x <= 8
-  C.addInequality(row({1, 0}));    // x >= 0
-  C.addInequality(row({-1, 10}));  // x <= 10
-
-  SetUnion U;
-  U.add(A);
-  U.add(B);
-  EXPECT_EQ(U.isEmpty(), Ternary::False);
-  EXPECT_EQ(U.isSubsetOf(SetUnion(C)), Ternary::True);
-  // C is not inside A ∪ B (the gap (3,5) matters only rationally, but 4 is
-  // an integer witness).
-  EXPECT_NE(SetUnion(C).isSubsetOf(U), Ternary::True);
-}
-
-TEST(SetUnion, EmptyUnionIsEmpty) {
-  SetUnion U;
-  EXPECT_EQ(U.isEmpty(), Ternary::True);
-}
-
 //===----------------------------------------------------------------------===//
 // Property-style randomized cross-check: emptiness and subset vs brute force
 // over a small box.

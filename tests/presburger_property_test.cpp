@@ -169,25 +169,6 @@ TEST_P(PresburgerRandom, SubstituteEquivalentToConstraining) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresburgerRandom, ::testing::Range(0, 30));
 
-TEST(SetUnion, PairwiseSubsetOfCover) {
-  // [0,2] u [2,5] covers [1,4]? Conservative test needs one piece to
-  // contain it; expect Unknown here but True for [3,5].
-  BasicSet A(1), B(1), Mid(1), Inside(1);
-  A.addInequality({1, 0});
-  A.addInequality({-1, 2});
-  B.addInequality({1, -2});
-  B.addInequality({-1, 5});
-  Mid.addInequality({1, -1});
-  Mid.addInequality({-1, 4});
-  Inside.addInequality({1, -3});
-  Inside.addInequality({-1, 5});
-  SetUnion U;
-  U.add(A);
-  U.add(B);
-  EXPECT_EQ(SetUnion(Inside).isSubsetOf(U), Ternary::True);
-  EXPECT_EQ(SetUnion(Mid).isSubsetOf(U), Ternary::Unknown);
-}
-
 TEST(BasicSetEdge, WidthZeroSets) {
   BasicSet S(0);
   EXPECT_EQ(S.isEmpty(), Ternary::False); // the empty tuple satisfies it

@@ -4,9 +4,9 @@
 //
 // Covers the pass framework of DESIGN.md §14: every schedule kind
 // certifies on arbitrary DAGs at every thread count, the coalescer only
-// removes waves, the P2P lowering seeds exactly the graph's in-degrees,
-// and the compiled-schedule executors reproduce the serial kernels —
-// bitwise for the pull-based kernels, to 1e-9 for the atomic-update ones.
+// removes waves, and the compiled-schedule executors reproduce the serial
+// kernels — bitwise for the pull-based kernels, to 1e-9 for the
+// atomic-update ones.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +24,7 @@ using namespace sds::rt;
 namespace {
 
 constexpr ScheduleKind kAllKinds[] = {ScheduleKind::Levels, ScheduleKind::LBC,
-                                      ScheduleKind::Coalesced,
-                                      ScheduleKind::P2P};
+                                      ScheduleKind::Coalesced};
 
 DependenceGraph randomDAG(int N, int EdgesPerNode, uint64_t Seed) {
   std::mt19937 Rng(static_cast<unsigned>(Seed));
@@ -114,7 +113,9 @@ TEST(ScheduleConfig, KindNamesRoundTrip) {
   }
   EXPECT_FALSE(parseScheduleKind("nonsense").has_value());
   EXPECT_FALSE(parseScheduleKind("").has_value());
-  EXPECT_EQ(parseScheduleKind("vector"), std::nullopt); // removed kind
+  // Removed kinds.
+  EXPECT_EQ(parseScheduleKind("vector"), std::nullopt);
+  EXPECT_EQ(parseScheduleKind("p2p"), std::nullopt);
 }
 
 TEST(ScheduleConfig, KeySeparatesKindsAndKnobs) {
@@ -126,8 +127,8 @@ TEST(ScheduleConfig, KeySeparatesKindsAndKnobs) {
       << "two kinds share a cache key";
   // Thread count and knobs are part of the key too: a 4-thread plan must
   // never serve an 8-thread executor.
-  EXPECT_NE(config(ScheduleKind::P2P, 4).key(),
-            config(ScheduleKind::P2P, 8).key());
+  EXPECT_NE(config(ScheduleKind::Coalesced, 4).key(),
+            config(ScheduleKind::Coalesced, 8).key());
   ScheduleConfig A = config(ScheduleKind::Coalesced, 8);
   ScheduleConfig B = A;
   B.CoalesceFactor = 4.0;
@@ -152,7 +153,6 @@ TEST_P(ScheduleRandom, EveryKindCertifies) {
       EXPECT_EQ(describeSchedule(S).Base.TotalNodes,
                 static_cast<uint64_t>(G.numNodes()))
           << Label;
-      EXPECT_EQ(S.UsesP2P, Kind == ScheduleKind::P2P) << Label;
     }
 }
 
@@ -197,41 +197,8 @@ TEST(SchedulePasses, CoalesceKeepsDominantComponentsBounded) {
   EXPECT_GT(St.Base.achievedParallelism(), 1.5);
 }
 
-//===----------------------------------------------------------------------===//
-// P2P lowering
-//===----------------------------------------------------------------------===//
-
-TEST(P2PLowering, SeedsExactInDegreesAndSuccessors) {
-  DependenceGraph G = randomDAG(200, 3, 7);
-  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::P2P, 4));
-  ASSERT_TRUE(S.UsesP2P);
-  ASSERT_EQ(S.InDegree.size(), static_cast<size_t>(G.numNodes()));
-  std::vector<int> Expect(static_cast<size_t>(G.numNodes()), 0);
-  for (int U = 0; U < G.numNodes(); ++U)
-    for (int V : G.successors(U))
-      ++Expect[static_cast<size_t>(V)];
-  EXPECT_EQ(S.InDegree, Expect);
-  ASSERT_EQ(S.SuccPtr.size(), static_cast<size_t>(G.numNodes()) + 1);
-  for (int U = 0; U < G.numNodes(); ++U) {
-    auto Succ = G.successors(U);
-    ASSERT_EQ(S.SuccPtr[static_cast<size_t>(U) + 1] -
-                  S.SuccPtr[static_cast<size_t>(U)],
-              Succ.size());
-    EXPECT_TRUE(std::equal(Succ.begin(), Succ.end(),
-                           S.SuccDst.begin() +
-                               static_cast<long>(
-                                   S.SuccPtr[static_cast<size_t>(U)])));
-  }
-}
-
 TEST(Certify, DetectsCorruptedSchedules) {
   DependenceGraph G = randomDAG(100, 3, 21);
-  // Corrupt the P2P seed: certification must notice.
-  CompiledSchedule P = buildSchedule(G, config(ScheduleKind::P2P, 4));
-  ASSERT_TRUE(certifySchedule(G, P));
-  ++P.InDegree[0];
-  EXPECT_FALSE(certifySchedule(G, P));
-
   // Reverse the waves: dependences now point backwards.
   CompiledSchedule W = buildSchedule(G, config(ScheduleKind::Coalesced, 2));
   ASSERT_TRUE(certifySchedule(G, W));
