@@ -13,6 +13,8 @@
 //
 // The cache is cleared before each thread-count configuration so the
 // cache/prefilter figures describe exactly one cold full-suite pass.
+// Simplex pivots, solves and int64→int128 promotions are reported per
+// pass too: machine-independent work counts for the exact LP layer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +74,9 @@ int main(int argc, char **argv) {
 
   // Entailment probes answered by a pooled witness point, not a solve.
   static obs::Counter &WitnessSkips = obs::counter("basicset.witness_skips");
+  static obs::Counter &Pivots = obs::counter("simplex.pivots");
+  static obs::Counter &Solves = obs::counter("simplex.solves");
+  static obs::Counter &Promotions = obs::counter("simplex.promotions");
   const int Ladder[] = {1, 2, 4, 8};
   double SerialSeconds = 0;
   std::string SerialPrint;
@@ -119,6 +124,9 @@ int main(int argc, char **argv) {
     Report.set(P + "prefilter_subset_syntactic", PF.SyntacticSubsetHits);
     Report.set(P + "prefilter_misses", PF.Misses);
     Report.set(P + "witness_skips", WitnessSkips.value());
+    Report.set(P + "simplex_pivots", Pivots.value());
+    Report.set(P + "simplex_solves", Solves.value());
+    Report.set(P + "simplex_promotions", Promotions.value());
     for (const auto &[S, Sec] : Stage)
       Report.set(P + "stage_" + S, Sec);
   }

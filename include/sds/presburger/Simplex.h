@@ -4,16 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// A classic two-phase primal simplex over exact rationals, used by the
-// Presburger layer as the rational-relaxation engine of the integer
+// A phase-1 primal simplex that decides rational feasibility exactly, used
+// by the Presburger layer as the rational-relaxation engine of the integer
 // emptiness test (our substitute for the corresponding ISL machinery).
 //
 // Problems are given as systems of linear equalities/inequalities over free
 // (sign-unrestricted) variables; internally each free variable is split into
 // a difference of two nonnegative variables and slacks/artificials are
-// added. Bland's rule guarantees termination. All arithmetic is exact; on
-// 128-bit overflow the solver reports `Error` and callers degrade to a
-// conservative answer.
+// added. Bland's rule guarantees termination.
+//
+// The tableau is fraction-free: every row holds integer numerators over one
+// positive denominator, and a pivot touches only the pivot row's nonzero
+// columns in the rows that have a nonzero entry in the entering column. It
+// runs on checked int64 arithmetic first and re-solves the same system on
+// 128-bit integers when int64 overflows (the transprecision scheme of
+// Grosser et al., "FPL", OOPSLA'18); the `simplex.promotions` counter
+// counts those re-solves. All arithmetic is exact; on 128-bit overflow the
+// solver reports `Error` and callers degrade to a conservative answer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,12 +40,11 @@ namespace presburger {
 /// Outcome of an LP solve.
 enum class LPStatus {
   Infeasible, ///< The rational relaxation is empty.
-  Optimal,    ///< Feasible; an optimum was found.
-  Unbounded,  ///< Feasible but the objective is unbounded.
+  Optimal,    ///< Feasible; a satisfying point was found.
   Error,      ///< Exact arithmetic overflowed; result unknown.
 };
 
-/// Exact-rational LP solver over free variables.
+/// Exact-rational feasibility solver over free variables.
 ///
 /// Constraints are rows `c[0]*x0 + ... + c[n-1]*x[n-1] + c[n] (>=|==) 0`.
 class Simplex {
@@ -56,10 +62,6 @@ public:
   /// On `Optimal` (used here to mean "feasible"), a satisfying rational
   /// point is available via `samplePoint()`.
   LPStatus checkFeasible();
-
-  /// Minimize `obj . (x, 1)` subject to the system. `ObjValue` receives the
-  /// optimum when the status is Optimal.
-  LPStatus minimize(const std::vector<int64_t> &Obj, Fraction &ObjValue);
 
   /// The sample point found by the last successful solve (size NumVars).
   const std::vector<Fraction> &samplePoint() const { return Sample; }
@@ -82,7 +84,10 @@ private:
     bool IsEq;
   };
 
-  LPStatus solve(const std::vector<int64_t> *Obj, Fraction &ObjValue);
+  /// One phase-1 run over the rows indexed by `Active` on a tableau of
+  /// `IntT` integers; std::nullopt when `IntT` arithmetic overflowed.
+  template <typename IntT>
+  std::optional<LPStatus> solveWith(const std::vector<unsigned> &Active);
 
   unsigned NumVars;
   std::vector<RowRec> Rows;

@@ -4,12 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// A small exact-rational type backed by __int128, used by the simplex-based
-// emptiness test in the Presburger layer. Values are kept in canonical form
-// (positive denominator, reduced by gcd). Arithmetic that overflows the
-// 128-bit range sets a sticky per-value flag which callers propagate into a
-// conservative "unknown" result; the dependence-analysis pipeline treats
-// "unknown" as "possibly satisfiable", which is the sound direction.
+// A small exact-rational type backed by __int128: the type of the sample
+// point the Presburger layer's simplex returns (the tableau itself is
+// fraction-free integer rows, see Simplex.h). Values are kept in canonical
+// form (positive denominator, reduced by gcd). Arithmetic that overflows
+// the 128-bit range sets a sticky per-value flag which callers propagate
+// into a conservative "unknown" result; the dependence-analysis pipeline
+// treats "unknown" as "possibly satisfiable", which is the sound direction.
 //
 //===----------------------------------------------------------------------===//
 

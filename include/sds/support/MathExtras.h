@@ -8,9 +8,9 @@
 //
 // Overflow-checked 64-bit integer arithmetic and 128-bit helpers used by the
 // Presburger layer. All constraint coefficients are int64_t; the simplex
-// works in 128-bit rationals. Overflow in the 128-bit layer is reported so
-// callers can degrade to a conservative "unknown" answer instead of silently
-// producing wrong results.
+// works in int64 and, on overflow, 128-bit integers. Overflow in the
+// 128-bit layer is reported so callers can degrade to a conservative
+// "unknown" answer instead of silently producing wrong results.
 //
 //===----------------------------------------------------------------------===//
 

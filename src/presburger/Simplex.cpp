@@ -10,6 +10,7 @@
 #include "sds/presburger/Budget.h"
 
 #include <cassert>
+#include <type_traits>
 
 namespace sds {
 namespace presburger {
@@ -24,141 +25,150 @@ void Simplex::addEquality(const std::vector<int64_t> &Row) {
   Rows.push_back({SmallVector<int64_t, 16>(Row), /*IsEq=*/true});
 }
 
-LPStatus Simplex::checkFeasible() {
-  Fraction Ignored;
-  return solve(/*Obj=*/nullptr, Ignored);
-}
-
-LPStatus Simplex::minimize(const std::vector<int64_t> &Obj,
-                           Fraction &ObjValue) {
-  assert(Obj.size() == NumVars + 1 && "bad objective width");
-  return solve(&Obj, ObjValue);
-}
-
 namespace {
 
-/// Backing storage for one tableau, kept per-thread so the thousands of
-/// short-lived solves issued by the emptiness test reuse one grown-to-fit
-/// allocation instead of paying three heap allocations per solve. The
-/// InUse flag guards against (currently nonexistent) reentrant solves:
-/// branch-and-bound recursion happens strictly after each solve returns,
-/// but if a nested solve ever appears it falls back to owned storage
-/// rather than corrupting the borrowed buffers.
-struct TableauScratch {
-  std::vector<Fraction> Cells;
-  std::vector<Fraction> ObjRow;
-  std::vector<unsigned> Basis;
+/// Backing storage for one tableau, kept per thread and per integer type
+/// so the thousands of short-lived solves issued by the emptiness test
+/// reuse one grown-to-fit allocation. The InUse flag guards against
+/// (currently nonexistent) reentrant solves: branch-and-bound recursion
+/// happens strictly after each solve returns, but a nested solve would
+/// fall back to owned storage rather than corrupt the borrowed buffers.
+template <typename IntT> struct TableauStorage {
+  std::vector<IntT> Cells;       // (rows + objective) x (columns + rhs)
+  std::vector<IntT> Den;         // one positive denominator per row
+  std::vector<unsigned> Basis;   // basic column of each constraint row
+  std::vector<unsigned> Support; // nonzero columns of the pivot row
   bool InUse = false;
 };
 
-TableauScratch &tableauScratch() {
-  thread_local TableauScratch S;
+template <typename IntT> TableauStorage<IntT> &tableauStorage() {
+  thread_local TableauStorage<IntT> S;
   return S;
 }
 
-/// Dense simplex tableau with an explicit reduced-cost row. Storage is
-/// borrowed from the thread-local scratch when available.
-class Tableau {
+/// Fraction-free simplex tableau. Row R holds the true values
+/// `at(R, J) / den(R)` with `den(R) > 0`; row `NumRows` is the reduced-cost
+/// (objective) row and column `NumCols` the right-hand side. Every
+/// multiply and subtract is overflow-checked; after an overflow the cell
+/// values are meaningless and the caller re-solves wider.
+template <typename IntT> class Tableau {
+  using UIntT = std::conditional_t<sizeof(IntT) == 8, uint64_t,
+                                   unsigned __int128>;
+
 public:
   Tableau(unsigned NumRows, unsigned NumCols)
-      : NumRows(NumRows), NumCols(NumCols) {
-    TableauScratch &S = tableauScratch();
-    if (!S.InUse) {
-      S.InUse = true;
-      Scratch = &S;
-      CellsP = &S.Cells;
-      ObjRowP = &S.ObjRow;
-      BasisP = &S.Basis;
-    } else {
-      CellsP = &OwnedCells;
-      ObjRowP = &OwnedObjRow;
-      BasisP = &OwnedBasis;
-    }
-    CellsP->assign(static_cast<size_t>(NumRows) * (NumCols + 1), Fraction());
-    ObjRowP->assign(NumCols + 1, Fraction());
-    BasisP->assign(NumRows, ~0u);
+      : NumRows(NumRows), NumCols(NumCols), Width(NumCols + 1) {
+    TableauStorage<IntT> &TL = tableauStorage<IntT>();
+    St = TL.InUse ? &Owned : &TL;
+    St->InUse = true;
+    St->Cells.assign(static_cast<size_t>(NumRows + 1) * Width, IntT(0));
+    St->Den.assign(NumRows + 1, IntT(1));
+    St->Basis.assign(NumRows, ~0u);
+    St->Support.clear();
+    St->Support.reserve(Width);
   }
 
   Tableau(const Tableau &) = delete;
   Tableau &operator=(const Tableau &) = delete;
 
-  ~Tableau() {
-    if (Scratch)
-      Scratch->InUse = false;
+  ~Tableau() { St->InUse = false; }
+
+  IntT *row(unsigned R) {
+    return St->Cells.data() + static_cast<size_t>(R) * Width;
+  }
+  IntT &at(unsigned R, unsigned C) { return row(R)[C]; }
+  IntT &rhs(unsigned R) { return at(R, NumCols); }
+  IntT *obj() { return row(NumRows); }
+  IntT den(unsigned R) const { return St->Den[R]; }
+
+  unsigned basis(unsigned R) const { return St->Basis[R]; }
+  void setBasis(unsigned R, unsigned C) { St->Basis[R] = C; }
+
+  IntT neg(IntT A) { return sub(IntT(0), A); }
+  IntT mul(IntT A, IntT B) {
+    IntT R;
+    Overflow |= __builtin_mul_overflow(A, B, &R);
+    return R;
+  }
+  IntT sub(IntT A, IntT B) {
+    IntT R;
+    Overflow |= __builtin_sub_overflow(A, B, &R);
+    return R;
   }
 
-  Fraction &at(unsigned R, unsigned C) {
-    return (*CellsP)[static_cast<size_t>(R) * (NumCols + 1) + C];
-  }
-  Fraction &rhs(unsigned R) { return at(R, NumCols); }
-  Fraction &obj(unsigned C) { return (*ObjRowP)[C]; }
-  Fraction &objVal() { return (*ObjRowP)[NumCols]; }
-
-  unsigned basis(unsigned R) const { return (*BasisP)[R]; }
-  void setBasis(unsigned R, unsigned C) { (*BasisP)[R] = C; }
-
-  bool overflowed() const { return Overflow; }
-
-  /// Pivot on (R, C): make column C basic in row R.
+  /// Pivot on (R, C): make column C basic in row R. Dividing row R by its
+  /// pivot cell turns its numerators over the pivot numerator; the other
+  /// rows then change only in the pivot row's nonzero columns, and only
+  /// when they have a nonzero entry in column C.
   void pivot(unsigned R, unsigned C) {
-    Fraction P = at(R, C);
-    assert(!P.isZero() && "pivot on zero cell");
-    // Normalize the pivot row.
-    for (unsigned J = 0; J <= NumCols; ++J) {
-      at(R, J) = at(R, J) / P;
-      Overflow |= at(R, J).overflowed();
-    }
-    // Eliminate column C from all other rows and the objective row.
-    for (unsigned I = 0; I < NumRows; ++I) {
-      if (I == R)
-        continue;
-      Fraction F = at(I, C);
-      if (F.isZero())
-        continue;
-      for (unsigned J = 0; J <= NumCols; ++J) {
-        at(I, J) = at(I, J) - F * at(R, J);
-        Overflow |= at(I, J).overflowed();
+    IntT *PR = row(R);
+    IntT P = PR[C];
+    assert(P != 0 && "pivot on zero cell");
+    std::vector<unsigned> &Support = St->Support;
+    Support.clear();
+    for (unsigned J = 0; J < Width; ++J)
+      if (PR[J] != 0) {
+        if (P < 0)
+          PR[J] = neg(PR[J]);
+        Support.push_back(J);
       }
-    }
-    Fraction F = obj(C);
-    if (!F.isZero()) {
-      for (unsigned J = 0; J <= NumCols; ++J) {
-        obj(J) = obj(J) - F * at(R, J);
-        Overflow |= obj(J).overflowed();
+    St->Den[R] = P < 0 ? neg(P) : P;
+    if (St->Den[R] != 1)
+      reduce(R);
+    const IntT DR = St->Den[R];
+    for (unsigned I = 0; I <= NumRows; ++I) {
+      IntT *RI = row(I);
+      const IntT F = RI[C];
+      if (I == R || F == 0)
+        continue;
+      if (DR == 1) {
+        for (unsigned J : Support)
+          RI[J] = sub(RI[J], mul(F, PR[J]));
+      } else {
+        // RI/DI - (F/DI)(PR/DR) = (RI*(DR/G) - (F/G)*PR) / (DI*(DR/G)).
+        const IntT G = gcd(DR, F);
+        const IntT Scale = DR / G, FG = F / G;
+        for (unsigned J = 0; J < Width; ++J)
+          if (RI[J] != 0)
+            RI[J] = mul(RI[J], Scale);
+        for (unsigned J : Support)
+          RI[J] = sub(RI[J], mul(FG, PR[J]));
+        St->Den[I] = mul(St->Den[I], Scale);
       }
+      if (St->Den[I] != 1)
+        reduce(I);
     }
     setBasis(R, C);
   }
 
-  /// Run simplex until optimal/unbounded/overflow: Dantzig's rule (most
-  /// negative reduced cost) for speed, switching to Bland's rule after a
-  /// fixed pivot count to guarantee termination on degenerate cycles.
-  /// Past the per-solve pivot budget (Budget.h) the solve gives up with
-  /// LPStatus::Error — callers degrade to a conservative Unknown, so the
-  /// budget bounds latency without ever flipping a verdict.
-  /// `Allowed` masks which columns may enter the basis (may be null).
-  LPStatus iterate(const std::vector<bool> *Allowed) {
+  /// Run simplex until optimal or overflow: Dantzig's rule (most negative
+  /// reduced cost) for speed, switching to Bland's rule after a fixed
+  /// pivot count to guarantee termination on degenerate cycles. The
+  /// objective numerators share one positive denominator, so they order
+  /// like the reduced costs themselves. Past the per-solve pivot budget
+  /// (Budget.h) the solve gives up with LPStatus::Error — callers degrade
+  /// to a conservative Unknown, so the budget bounds latency without ever
+  /// flipping a verdict. std::nullopt reports an overflow.
+  std::optional<LPStatus> iterate() {
     static obs::Counter &PivotCount = obs::counter("simplex.pivots");
     unsigned Pivots = 0;
     const unsigned BlandAfter = 500;
     const uint64_t MaxPivots = pivotBudget();
     while (true) {
       if (Overflow)
-        return LPStatus::Error;
+        return std::nullopt;
       PivotCount.add();
       if (Pivots >= MaxPivots) {
         notePivotBudgetExhaustion();
         return LPStatus::Error;
       }
       bool Bland = ++Pivots > BlandAfter;
+      const IntT *Obj = obj();
       unsigned Enter = NumCols;
-      Fraction Zero(0);
       for (unsigned J = 0; J < NumCols; ++J) {
-        if (Allowed && !(*Allowed)[J])
+        if (Obj[J] >= 0)
           continue;
-        if (!(obj(J) < Zero))
-          continue;
-        if (Enter == NumCols || (!Bland && obj(J) < obj(Enter))) {
+        if (Enter == NumCols || (!Bland && Obj[J] < Obj[Enter])) {
           Enter = J;
           if (Bland)
             break;
@@ -166,44 +176,155 @@ public:
       }
       if (Enter == NumCols)
         return LPStatus::Optimal;
-      // Leaving row: min ratio; ties broken by smallest basis index (Bland).
+      // Leaving row: min ratio rhs/a over a > 0, compared by cross
+      // multiplication (the row denominators cancel); ties broken by the
+      // smallest basis index (Bland).
       unsigned Leave = NumRows;
-      Fraction BestRatio(0);
       for (unsigned I = 0; I < NumRows; ++I) {
-        if (!(at(I, Enter) > Zero))
+        const IntT A = at(I, Enter);
+        if (A <= 0)
           continue;
-        Fraction Ratio = rhs(I) / at(I, Enter);
-        if (Ratio.overflowed())
-          return LPStatus::Error;
-        if (Leave == NumRows || Ratio < BestRatio ||
-            (Ratio == BestRatio && basis(I) < basis(Leave))) {
+        if (Leave == NumRows) {
           Leave = I;
-          BestRatio = Ratio;
+          continue;
         }
+        Int128 Lhs, Rhs;
+        if constexpr (sizeof(IntT) < sizeof(Int128)) {
+          Lhs = Int128(rhs(I)) * at(Leave, Enter); // cannot overflow
+          Rhs = Int128(rhs(Leave)) * A;
+        } else if (__builtin_mul_overflow(rhs(I), at(Leave, Enter), &Lhs) ||
+                   __builtin_mul_overflow(rhs(Leave), A, &Rhs)) {
+          Overflow = true;
+          return std::nullopt;
+        }
+        if (Lhs < Rhs || (Lhs == Rhs && basis(I) < basis(Leave)))
+          Leave = I;
       }
-      if (Leave == NumRows)
-        return LPStatus::Unbounded;
+      assert(Leave != NumRows && "phase-1 objective is bounded below");
       pivot(Leave, Enter);
     }
   }
 
-  unsigned NumRows, NumCols;
+  const unsigned NumRows, NumCols, Width;
 
 private:
-  TableauScratch *Scratch = nullptr;
-  std::vector<Fraction> *CellsP = nullptr;
-  std::vector<Fraction> *ObjRowP = nullptr;
-  std::vector<unsigned> *BasisP = nullptr;
-  std::vector<Fraction> OwnedCells;
-  std::vector<Fraction> OwnedObjRow;
-  std::vector<unsigned> OwnedBasis;
+  /// gcd of a positive A and a nonzero B, on unsigned magnitudes so the
+  /// most negative value needs no negation.
+  static IntT gcd(IntT A, IntT B) {
+    UIntT X = static_cast<UIntT>(A);
+    UIntT Y = B < 0 ? UIntT(0) - static_cast<UIntT>(B) : static_cast<UIntT>(B);
+    while (Y != 0) {
+      UIntT T = X % Y;
+      X = Y;
+      Y = T;
+    }
+    return static_cast<IntT>(X);
+  }
+
+  /// Divide row R's numerators and denominator by their common gcd.
+  void reduce(unsigned R) {
+    IntT *RR = row(R);
+    IntT G = St->Den[R];
+    for (unsigned J = 0; J < Width && G != 1; ++J)
+      if (RR[J] != 0)
+        G = gcd(G, RR[J]);
+    if (G == 1)
+      return;
+    for (unsigned J = 0; J < Width; ++J)
+      RR[J] /= G;
+    St->Den[R] /= G;
+  }
+
+  TableauStorage<IntT> *St;
+  TableauStorage<IntT> Owned;
   bool Overflow = false;
 };
 
 } // namespace
 
-LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
+template <typename IntT>
+std::optional<LPStatus> Simplex::solveWith(const std::vector<unsigned> &Active) {
+  unsigned NumIneq = 0;
+  for (unsigned RI : Active)
+    if (!Rows[RI].IsEq)
+      ++NumIneq;
+
+  unsigned M = static_cast<unsigned>(Active.size());
+  // Columns: p_0..p_{n-1}, q_0..q_{n-1}, slacks, artificials.
+  unsigned PBase = 0, QBase = NumVars, SBase = 2 * NumVars,
+           ABase = 2 * NumVars + NumIneq;
+  unsigned NumCols = ABase + M;
+
+  Tableau<IntT> T(M, NumCols);
+  unsigned SlackIdx = 0;
+  for (unsigned I = 0; I < M; ++I) {
+    const RowRec &R = Rows[Active[I]];
+    // a.x + c (>=|==) 0  becomes  a.(p-q) [- s] = -c ; flip so RHS >= 0.
+    IntT C = R.Coeffs[NumVars];
+    bool Flip = C > 0;
+    for (unsigned J = 0; J < NumVars; ++J) {
+      IntT A = R.Coeffs[J];
+      if (Flip)
+        A = T.neg(A);
+      T.at(I, PBase + J) = A;
+      T.at(I, QBase + J) = T.neg(A);
+    }
+    if (!R.IsEq) {
+      T.at(I, SBase + SlackIdx) = Flip ? 1 : -1;
+      ++SlackIdx;
+    }
+    T.at(I, ABase + I) = 1;
+    T.rhs(I) = Flip ? C : T.neg(C);
+    T.setBasis(I, ABase + I);
+  }
+
+  // Phase 1: minimize the sum of artificials. Reduced costs: cost 1 on each
+  // artificial, priced out against the artificial basis, i.e. minus the
+  // sum of the rows everywhere else.
+  IntT *Obj = T.obj();
+  for (unsigned I = 0; I < M; ++I)
+    for (unsigned J = 0; J <= NumCols; ++J)
+      if (J != ABase + I)
+        Obj[J] = T.sub(Obj[J], T.at(I, J));
+
+  std::optional<LPStatus> S = T.iterate();
+  if (S != LPStatus::Optimal)
+    return S;
+  // Feasible iff the phase-1 optimum is zero, i.e. -objVal == 0.
+  if (Obj[NumCols] != 0) {
+    // Farkas certificate: at the phase-1 optimum the dual weight of row I
+    // is y_I = 1 - obj(ABase+I) (reduced cost of its artificial column).
+    // Rows with y_I == 0 contribute nothing to the certificate, so the
+    // nonzero-weight subsystem is itself infeasible — an unsat core.
+    for (unsigned I = 0; I < M; ++I)
+      if (Obj[ABase + I] != T.den(M))
+        Core.push_back(Active[I]);
+    return LPStatus::Infeasible;
+  }
+
+  // Artificials still basic sit at zero, so every variable's value is
+  // already feasible: nonbasic columns are zero, basic ones their rhs.
+  // Extract the sample point x = p - q.
+  std::vector<Fraction> P(NumVars, Fraction(0)), Q(NumVars, Fraction(0));
+  for (unsigned I = 0; I < M; ++I) {
+    unsigned B = T.basis(I);
+    if (B < QBase)
+      P[B - PBase] = Fraction(T.rhs(I), T.den(I));
+    else if (B < SBase)
+      Q[B - QBase] = Fraction(T.rhs(I), T.den(I));
+  }
+  Sample.assign(NumVars, Fraction(0));
+  for (unsigned J = 0; J < NumVars; ++J) {
+    Sample[J] = P[J] - Q[J];
+    if (Sample[J].overflowed())
+      return LPStatus::Error;
+  }
+  return LPStatus::Optimal;
+}
+
+LPStatus Simplex::checkFeasible() {
   static obs::Counter &Solves = obs::counter("simplex.solves");
+  static obs::Counter &Promotions = obs::counter("simplex.promotions");
   Solves.add();
   Core.clear();
   // Quick scan: constraints with no variable part decide themselves.
@@ -230,145 +351,17 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
     Active.push_back(RI);
   }
 
-  unsigned NumIneq = 0;
-  for (unsigned RI : Active)
-    if (!Rows[RI].IsEq)
-      ++NumIneq;
-
-  unsigned M = static_cast<unsigned>(Active.size());
-  // Columns: p_0..p_{n-1}, q_0..q_{n-1}, slacks, artificials.
-  unsigned PBase = 0, QBase = NumVars, SBase = 2 * NumVars,
-           ABase = 2 * NumVars + NumIneq;
-  unsigned NumCols = ABase + M;
-
-  if (M == 0) {
+  if (Active.empty()) {
     // System is trivially satisfiable; the origin works.
     Sample.assign(NumVars, Fraction(0));
-    if (Obj) {
-      // Objective may still be unbounded over free variables.
-      for (unsigned J = 0; J < NumVars; ++J)
-        if ((*Obj)[J] != 0)
-          return LPStatus::Unbounded;
-      ObjValue = Fraction((*Obj)[NumVars]);
-    }
     return LPStatus::Optimal;
   }
 
-  Tableau T(M, NumCols);
-  unsigned SlackIdx = 0;
-  for (unsigned I = 0; I < M; ++I) {
-    const RowRec &R = Rows[Active[I]];
-    // a.x + c (>=|==) 0  becomes  a.(p-q) [- s] = -c ; flip so RHS >= 0.
-    int64_t Rhs64 = -R.Coeffs[NumVars];
-    int Sign = Rhs64 < 0 ? -1 : 1;
-    for (unsigned J = 0; J < NumVars; ++J) {
-      int64_t A = R.Coeffs[J] * Sign;
-      T.at(I, PBase + J) = Fraction(A);
-      T.at(I, QBase + J) = Fraction(-A);
-    }
-    if (!R.IsEq) {
-      T.at(I, SBase + SlackIdx) = Fraction(-Sign);
-      ++SlackIdx;
-    }
-    T.at(I, ABase + I) = Fraction(1);
-    T.rhs(I) = Fraction(Sign < 0 ? -Rhs64 : Rhs64);
-    T.setBasis(I, ABase + I);
-  }
-
-  // Phase 1: minimize the sum of artificials. Reduced costs: cost 1 on each
-  // artificial, priced out against the artificial basis.
-  for (unsigned J = 0; J <= NumCols; ++J)
-    T.obj(J) = Fraction(0);
-  for (unsigned I = 0; I < M; ++I)
-    T.obj(ABase + I) = Fraction(1);
-  for (unsigned I = 0; I < M; ++I) {
-    // Basic artificial with cost 1: subtract its row from the objective.
-    for (unsigned J = 0; J <= NumCols; ++J)
-      T.obj(J) = T.obj(J) - T.at(I, J);
-  }
-
-  LPStatus S = T.iterate(/*Allowed=*/nullptr);
-  if (S == LPStatus::Error)
-    return S;
-  assert(S != LPStatus::Unbounded && "phase-1 objective is bounded below");
-  // Feasible iff the phase-1 optimum is zero, i.e. -objVal == 0.
-  if (!T.objVal().isZero()) {
-    // Farkas certificate: at the phase-1 optimum the dual weight of row I
-    // is y_I = 1 - obj(ABase+I) (reduced cost of its artificial column).
-    // Rows with y_I == 0 contribute nothing to the certificate, so the
-    // nonzero-weight subsystem is itself infeasible — an unsat core.
-    if (!T.overflowed()) {
-      Fraction One(1);
-      for (unsigned I = 0; I < M; ++I)
-        if (T.obj(ABase + I) != One)
-          Core.push_back(Active[I]);
-    }
-    return LPStatus::Infeasible;
-  }
-
-  // Drive any remaining basic artificials out (or detect redundant rows).
-  for (unsigned I = 0; I < M; ++I) {
-    if (T.basis(I) < ABase)
-      continue;
-    unsigned Col = NumCols;
-    for (unsigned J = 0; J < ABase; ++J)
-      if (!T.at(I, J).isZero()) {
-        Col = J;
-        break;
-      }
-    if (Col != NumCols)
-      T.pivot(I, Col);
-    // Otherwise the row is redundant; the artificial stays basic at zero,
-    // which is harmless as long as artificial columns never re-enter.
-  }
-  if (T.overflowed())
-    return LPStatus::Error;
-
-  std::vector<bool> Allowed(NumCols, true);
-  for (unsigned I = 0; I < M; ++I)
-    Allowed[ABase + I] = false;
-
-  if (Obj) {
-    // Phase 2: install the real objective and price out the basis.
-    for (unsigned J = 0; J <= NumCols; ++J)
-      T.obj(J) = Fraction(0);
-    for (unsigned J = 0; J < NumVars; ++J) {
-      T.obj(PBase + J) = Fraction((*Obj)[J]);
-      T.obj(QBase + J) = Fraction(-(*Obj)[J]);
-    }
-    for (unsigned I = 0; I < M; ++I) {
-      unsigned B = T.basis(I);
-      Fraction C = T.obj(B);
-      if (C.isZero())
-        continue;
-      for (unsigned J = 0; J <= NumCols; ++J)
-        T.obj(J) = T.obj(J) - C * T.at(I, J);
-    }
-    S = T.iterate(&Allowed);
-    if (S != LPStatus::Optimal)
-      return S;
-    // objVal holds -(c.x_B); optimum of c.x is its negation plus constant.
-    ObjValue = -T.objVal() + Fraction((*Obj)[NumVars]);
-    if (ObjValue.overflowed())
-      return LPStatus::Error;
-  }
-
-  // Extract the sample point x = p - q.
-  std::vector<Fraction> P(NumVars, Fraction(0)), Q(NumVars, Fraction(0));
-  for (unsigned I = 0; I < M; ++I) {
-    unsigned B = T.basis(I);
-    if (B < QBase)
-      P[B - PBase] = T.rhs(I);
-    else if (B < SBase)
-      Q[B - QBase] = T.rhs(I);
-  }
-  Sample.assign(NumVars, Fraction(0));
-  for (unsigned J = 0; J < NumVars; ++J) {
-    Sample[J] = P[J] - Q[J];
-    if (Sample[J].overflowed())
-      return LPStatus::Error;
-  }
-  return LPStatus::Optimal;
+  if (std::optional<LPStatus> S = solveWith<int64_t>(Active))
+    return *S;
+  // int64 overflowed somewhere: the same system, on 128-bit integers.
+  Promotions.add();
+  return solveWith<Int128>(Active).value_or(LPStatus::Error);
 }
 
 } // namespace presburger

@@ -29,7 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <regex>
+#include <string_view>
 
 using namespace sds;
 using namespace sds::rt;
@@ -118,17 +118,60 @@ void expectGraphsEqual(const DependenceGraph &A, const DependenceGraph &B,
   }
 }
 
+/// Replace the value after every occurrence of `Key` with `Mask`.
+/// `ValueEnd(S, From)` returns the end of the value that starts at `From`,
+/// or npos when no value of the expected shape starts there.
+template <typename ValueEndFn>
+std::string maskValues(const std::string &S, std::string_view Key,
+                       std::string_view Mask, ValueEndFn ValueEnd) {
+  std::string Out;
+  size_t Pos = 0;
+  for (size_t At; (At = S.find(Key, Pos)) != std::string::npos;) {
+    size_t From = At + Key.size();
+    Out.append(S, Pos, From - Pos);
+    Pos = From;
+    size_t End = ValueEnd(S, From);
+    if (End != std::string::npos) {
+      Out += Mask;
+      Pos = End;
+    }
+  }
+  Out.append(S, Pos);
+  return Out;
+}
+
+/// End of the run of `Chars` that starts at `From`.
+size_t runEnd(const std::string &S, size_t From, std::string_view Chars) {
+  size_t End = S.find_first_not_of(Chars, From);
+  return End == std::string::npos ? S.size() : End;
+}
+
 /// A serialized artifact with its wall-clock fields masked: each
 /// dependence's `prov.seconds`, the `stage_seconds` object, and the
 /// `checksum` that covers them. Two compiles of one kernel with the same
 /// options serialize to the same masked bytes.
 std::string maskTimings(const std::string &Blob) {
-  static const std::regex Stages(R"("stage_seconds":\{[^}]*\})");
-  static const std::regex Seconds(R"("seconds":[-+0-9.eE]+)");
-  static const std::regex Checksum(R"("checksum":"[0-9a-f]*")");
-  std::string S = std::regex_replace(Blob, Stages, R"("stage_seconds":{})");
-  S = std::regex_replace(S, Seconds, R"("seconds":0)");
-  return std::regex_replace(S, Checksum, R"("checksum":"")");
+  // "stage_seconds":{...} -> "stage_seconds":{}
+  std::string S = maskValues(Blob, R"("stage_seconds":{)", "}",
+                             [](const std::string &S, size_t From) {
+                               size_t Close = S.find('}', From);
+                               return Close == std::string::npos ? Close
+                                                                 : Close + 1;
+                             });
+  // "seconds":<number> -> "seconds":0
+  S = maskValues(S, R"("seconds":)", "0",
+                 [](const std::string &S, size_t From) {
+                   size_t End = runEnd(S, From, "-+0123456789.eE");
+                   return End == From ? std::string::npos : End;
+                 });
+  // "checksum":"<hex>" -> "checksum":""
+  return maskValues(S, R"("checksum":")", R"(")",
+                    [](const std::string &S, size_t From) {
+                      size_t End = runEnd(S, From, "0123456789abcdef");
+                      return End < S.size() && S[End] == '"'
+                                 ? End + 1
+                                 : std::string::npos;
+                    });
 }
 
 uint64_t presburgerQueries() {
