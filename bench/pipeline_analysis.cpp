@@ -14,7 +14,9 @@
 // The cache is cleared before each thread-count configuration so the
 // cache/prefilter figures describe exactly one cold full-suite pass.
 // Simplex pivots, solves and int64→int128 promotions are reported per
-// pass too: machine-independent work counts for the exact LP layer.
+// pass too: machine-independent work counts for the exact LP layer. So
+// are phase-2 piece solves, split children a known point spared a solve,
+// and minimizeCore's drop-one trials.
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +79,9 @@ int main(int argc, char **argv) {
   static obs::Counter &Pivots = obs::counter("simplex.pivots");
   static obs::Counter &Solves = obs::counter("simplex.solves");
   static obs::Counter &Promotions = obs::counter("simplex.promotions");
+  static obs::Counter &Phase2Checks = obs::counter("ir.phase2_checks");
+  static obs::Counter &Phase2Skips = obs::counter("ir.phase2_witness_skips");
+  static obs::Counter &CoreTrials = obs::counter("ir.core_trials");
   const int Ladder[] = {1, 2, 4, 8};
   double SerialSeconds = 0;
   std::string SerialPrint;
@@ -127,6 +132,9 @@ int main(int argc, char **argv) {
     Report.set(P + "simplex_pivots", Pivots.value());
     Report.set(P + "simplex_solves", Solves.value());
     Report.set(P + "simplex_promotions", Promotions.value());
+    Report.set(P + "phase2_checks", Phase2Checks.value());
+    Report.set(P + "phase2_witness_skips", Phase2Skips.value());
+    Report.set(P + "core_trials", CoreTrials.value());
     for (const auto &[S, Sec] : Stage)
       Report.set(P + "stage_" + S, Sec);
   }

@@ -136,6 +136,11 @@ private:
   std::vector<std::vector<int64_t>> Ineqs;
 };
 
+/// Does the integer point `P` (one value per variable) satisfy every row of
+/// `S`? Checked 128-bit arithmetic: a row whose sum overflows counts as
+/// violated, so `true` is always exact.
+bool liesIn(const BasicSet &S, const std::vector<int64_t> &P);
+
 /// Integer points known to lie in one base set, kept across a loop of
 /// emptiness probes `Base ∧ Row >= 0` that differ only in their one added
 /// row (phase-1 instantiation's entailment probes and the probes of

@@ -89,7 +89,8 @@ inline Int128 ceilDiv128(Int128 Num, Int128 Den) {
   return Q;
 }
 
-/// Checked int64 ops: return false on overflow, otherwise store the result.
+/// Checked int64 ops: return true on overflow, otherwise store the result
+/// and return false.
 inline bool addOverflow64(int64_t A, int64_t B, int64_t &Out) {
   return __builtin_add_overflow(A, B, &Out);
 }

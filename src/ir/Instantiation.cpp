@@ -6,10 +6,13 @@
 
 #include "sds/ir/Flatten.h"
 #include "sds/ir/Simplify.h"
+#include "sds/obs/Trace.h"
+#include "sds/support/MathExtras.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <set>
 
 namespace sds {
@@ -274,6 +277,14 @@ instantiatePhase1(const Conjunction &C,
   std::set<std::string> SeenInstances;
   std::vector<AssertionInstance> Instances;
   std::vector<bool> Consumed;
+  // The contrapositive rule's constraints per instance, built once when
+  // the instance is appended: !q, which Aug must imply, and !p, which is
+  // then added. Only single-inequality antecedents and consequents have
+  // one.
+  struct Contrapositive {
+    Constraint NotQ, NotP;
+  };
+  std::vector<std::optional<Contrapositive>> Contra;
   unsigned ProbesLeft = Opts.SemanticPhase1 ? Opts.SemanticProbeCap : 0;
 
   // Calls present in Aug, refreshed when consequents are appended: an
@@ -405,8 +416,15 @@ instantiatePhase1(const Conjunction &C,
                    });
   collectFunctionalConsistencyInstances(Aug, Opts, S, SeenInstances,
                                         NewInstances);
-  for (AssertionInstance &Inst : NewInstances)
+  for (AssertionInstance &Inst : NewInstances) {
+    const std::vector<Constraint> &Qs = Inst.Consequent.constraints();
+    const std::vector<Constraint> &Ps = Inst.Antecedent.constraints();
+    if (Qs.size() == 1 && Ps.size() == 1 && !Qs[0].isEq() && !Ps[0].isEq())
+      Contra.push_back(Contrapositive{negateGeq(Qs[0]), negateGeq(Ps[0])});
+    else
+      Contra.emplace_back();
     Instances.push_back(std::move(Inst));
+  }
   Consumed.resize(Instances.size(), false);
   if (Round > 0 && Instances.size() == SizeBefore)
     break; // nothing new to try
@@ -484,30 +502,24 @@ instantiatePhase1(const Conjunction &C,
 
       // Contrapositive rule (§6.2): single-constraint consequent q with
       // !q present lets us add !p for a single-constraint antecedent.
-      if (Inst.Consequent.constraints().size() == 1 &&
-          Inst.Antecedent.constraints().size() == 1) {
-        const Constraint &Q = Inst.Consequent.constraints()[0];
-        const Constraint &P = Inst.Antecedent.constraints()[0];
-        if (!Q.isEq() && !P.isEq() &&
-            Aug.impliesSyntactically(negateGeq(Q))) {
-          if (Origins) {
-            std::vector<std::string> Labels{Inst.Label + " [contrapositive]"};
-            appendSyntacticSupport(*Origins, Aug, negateGeq(Q), Labels);
-            std::sort(Labels.begin(), Labels.end());
-            Labels.erase(std::unique(Labels.begin(), Labels.end()),
-                         Labels.end());
-            std::string Key = OriginMap::keyOf(negateGeq(P));
-            if (!Origins->BaseKeys.count(Key))
-              Origins->ConstraintOrigins.emplace(std::move(Key),
-                                                 std::move(Labels));
-          }
-          Aug.add(negateGeq(P));
-          Consumed[I] = true;
-          ++S.Phase1Added;
-          S.UsedLabels.push_back(Inst.Label + " [contrapositive]");
-          Changed = true;
-          continue;
+      if (Contra[I] && Aug.impliesSyntactically(Contra[I]->NotQ)) {
+        if (Origins) {
+          std::vector<std::string> Labels{Inst.Label + " [contrapositive]"};
+          appendSyntacticSupport(*Origins, Aug, Contra[I]->NotQ, Labels);
+          std::sort(Labels.begin(), Labels.end());
+          Labels.erase(std::unique(Labels.begin(), Labels.end()),
+                       Labels.end());
+          std::string Key = OriginMap::keyOf(Contra[I]->NotP);
+          if (!Origins->BaseKeys.count(Key))
+            Origins->ConstraintOrigins.emplace(std::move(Key),
+                                               std::move(Labels));
         }
+        Aug.add(Contra[I]->NotP);
+        Consumed[I] = true;
+        ++S.Phase1Added;
+        S.UsedLabels.push_back(Inst.Label + " [contrapositive]");
+        Changed = true;
+        continue;
       }
     }
     if (!Changed)
@@ -525,80 +537,185 @@ instantiatePhase1(const Conjunction &C,
 
 namespace {
 
-/// Drop pieces that are already provably empty (cheap budget), keeping the
-/// DNF small during phase 2. Pruned pieces are part of the final proof, so
-/// their citations are recorded in `CC` like any other piece's.
-void prunePieces(std::vector<Conjunction> &Pieces, const SparseRelation &R,
-                 unsigned Budget, CoreCollector *CC) {
-  std::vector<Conjunction> Kept;
-  for (Conjunction &Piece : Pieces) {
-    SparseRelation Tmp = R;
-    Tmp.Conj = Piece;
-    Flattened F = flatten(Tmp);
-    presburger::EmptinessCore EC;
-    if (F.Set.isEmpty(Budget, CC ? &EC : nullptr) ==
-        presburger::Ternary::True) {
-      notePieceEmpty(CC, F, Piece, EC);
-      continue;
+/// Most integer points one phase-2 piece keeps.
+constexpr size_t kPiecePoints = 8;
+
+/// An integer point over a piece's atoms, keyed by column name (the
+/// flattener's ColIndex key, Atom::str()).
+using NamedPoint = std::map<std::string, int64_t>;
+
+/// One DNF piece of phase 2: a conjunction plus up to kPiecePoints integer
+/// points known to satisfy every one of its constraints. A piece holding a
+/// point is non-empty, so no solve could ever prove it empty; it is kept
+/// without a flatten or a solve.
+struct Piece {
+  Conjunction Conj;
+  std::vector<NamedPoint> Points;
+};
+
+/// A constraint lowered once for evaluation at named points.
+struct NamedRow {
+  bool IsEq;
+  int64_t Const;
+  std::vector<std::pair<int64_t, std::string>> Terms; ///< coeff, column
+};
+
+/// Does `P` satisfy every row? Checked 128-bit arithmetic; an overflow or
+/// an atom without a value counts as not satisfied, so `true` is exact.
+bool satisfiesAll(const NamedPoint &P, const std::vector<NamedRow> &Rows) {
+  for (const NamedRow &Row : Rows) {
+    Int128 V = Row.Const;
+    for (const auto &[Coeff, Key] : Row.Terms) {
+      auto It = P.find(Key);
+      if (It == P.end() || addOverflow128(V, Int128(Coeff) * It->second, V))
+        return false;
     }
-    Kept.push_back(std::move(Piece));
+    if (Row.IsEq ? V != 0 : V < 0)
+      return false;
   }
-  Pieces = std::move(Kept);
+  return true;
 }
 
-/// Conjoin a phase-2 instance (!A || C) onto a DNF piece list. Sets
-/// `Overflowed` (and leaves `Pieces` untouched) when the result would
-/// exceed the piece cap even after pruning empty pieces.
-void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
+void addPoint(Piece &P, const NamedPoint &Pt) {
+  if (P.Points.size() < kPiecePoints)
+    P.Points.push_back(Pt);
+}
+
+/// One emptiness solve of `P`. A `True` verdict's citations go to `CC`. A
+/// `False` verdict's point, once checked against every row of the
+/// flattened piece, joins `P` and, when given, `Parent`: a point of a
+/// child lies in its parent too.
+presburger::Ternary checkPiece(Piece &P, Piece *Parent,
+                               const SparseRelation &R, unsigned Budget,
+                               CoreCollector *CC) {
+  static obs::Counter &Checks = obs::counter("ir.phase2_checks");
+  Checks.add();
+  SparseRelation Tmp = R;
+  Tmp.Conj = P.Conj;
+  Flattened F = flatten(Tmp);
+  presburger::EmptinessCore EC;
+  std::vector<int64_t> Witness;
+  presburger::Ternary V =
+      F.Set.isEmpty(Budget, CC ? &EC : nullptr, &Witness);
+  if (V == presburger::Ternary::True) {
+    notePieceEmpty(CC, F, P.Conj, EC);
+  } else if (V == presburger::Ternary::False &&
+             presburger::liesIn(F.Set, Witness)) {
+    NamedPoint Pt;
+    for (size_t J = 0; J < Witness.size(); ++J)
+      Pt.emplace(F.Names[J], Witness[J]);
+    addPoint(P, Pt);
+    if (Parent)
+      addPoint(*Parent, Pt);
+  }
+  return V;
+}
+
+/// Conjoin a phase-2 instance (!A || C) onto a DNF piece list. When more
+/// than `MaxPieces` children result, children with a point are kept as they
+/// are and the rest are checked in order (cheap budget), dropping the
+/// proven-empty ones; as soon as more than `MaxPieces` survive, the split
+/// overflows. An overflowing split returns false and leaves `Pieces` in
+/// place, apart from the points its solves gave them. Only an applied
+/// split's pruned pieces are part of the proof, so their citations reach
+/// `CC` only then.
+bool applyDisjunctiveInstance(std::vector<Piece> &Pieces,
                               const AssertionInstance &Inst,
                               const SparseRelation &R,
-                              const SimplifyOptions &Opts, bool &Overflowed,
+                              const SimplifyOptions &Opts,
                               CoreCollector *CC) {
-  std::vector<Conjunction> Next;
-  for (const Conjunction &Piece : Pieces) {
-    // Branch 1: the consequent holds.
-    {
-      Conjunction P = Piece;
-      P.append(Inst.Consequent);
-      Next.push_back(std::move(P));
-    }
-    // Branches 2..k: some antecedent constraint fails.
-    for (const Constraint &A : Inst.Antecedent.constraints()) {
-      if (A.isEq()) {
-        Conjunction P1 = Piece;
-        P1.add(Constraint::geq(A.E - Expr(1)));
-        Next.push_back(std::move(P1));
-        Conjunction P2 = Piece;
-        P2.add(Constraint::geq(-A.E - Expr(1)));
-        Next.push_back(std::move(P2));
-      } else {
-        Conjunction P = Piece;
-        P.add(negateGeq(A));
-        Next.push_back(std::move(P));
-      }
+  static obs::Counter &WitnessSkips = obs::counter("ir.phase2_witness_skips");
+  // Branch 1: the consequent holds. Branches 2..k: some antecedent
+  // constraint fails.
+  std::vector<std::vector<Constraint>> Branches{Inst.Consequent.constraints()};
+  for (const Constraint &A : Inst.Antecedent.constraints()) {
+    if (A.isEq()) {
+      Branches.push_back({Constraint::geq(A.E - Expr(1))});
+      Branches.push_back({Constraint::geq(-A.E - Expr(1))});
+    } else {
+      Branches.push_back({negateGeq(A)});
     }
   }
-  if (Next.size() > Opts.MaxPieces)
-    prunePieces(Next, R, /*Budget=*/8, CC);
+  std::vector<std::vector<NamedRow>> BranchRows(Branches.size());
+  for (size_t B = 0; B < Branches.size(); ++B)
+    for (const Constraint &C : Branches[B]) {
+      NamedRow Row{C.isEq(), C.E.constant(), {}};
+      for (const Expr::Term &T : C.E.terms())
+        Row.Terms.emplace_back(T.Coeff, T.A.str());
+      BranchRows[B].push_back(std::move(Row));
+    }
+  // A child takes each parent point that satisfies its branch.
+  auto Inherit = [&](Piece &Child, const Piece &Parent, size_t B) {
+    for (const NamedPoint &Pt : Parent.Points)
+      if (satisfiesAll(Pt, BranchRows[B]))
+        addPoint(Child, Pt);
+  };
+
+  struct Child {
+    Piece P;
+    size_t Parent, Branch;
+  };
+  std::vector<Child> Next;
+  for (size_t I = 0; I < Pieces.size(); ++I)
+    for (size_t B = 0; B < Branches.size(); ++B) {
+      Child C{{Pieces[I].Conj, {}}, I, B};
+      for (const Constraint &BC : Branches[B])
+        C.P.Conj.add(BC);
+      Inherit(C.P, Pieces[I], B);
+      Next.push_back(std::move(C));
+    }
+
+  std::vector<bool> Keep(Next.size(), true);
+  CoreCollector Split;
   if (Next.size() > Opts.MaxPieces) {
-    Overflowed = true;
-    return; // caller keeps the previous piece list
+    size_t Survivors = 0;
+    for (const Child &C : Next)
+      Survivors += !C.P.Points.empty();
+    WitnessSkips.add(Survivors);
+    if (CC)
+      Split.Origins = CC->Origins;
+    for (size_t I = 0; I < Next.size() && Survivors <= Opts.MaxPieces; ++I) {
+      Child &C = Next[I];
+      if (!C.P.Points.empty())
+        continue;
+      // An earlier sibling's solve may have given the parent a point that
+      // lies in this branch too.
+      Inherit(C.P, Pieces[C.Parent], C.Branch);
+      if (!C.P.Points.empty()) {
+        WitnessSkips.add();
+      } else if (checkPiece(C.P, &Pieces[C.Parent], R, /*Budget=*/8,
+                            CC ? &Split : nullptr) ==
+                 presburger::Ternary::True) {
+        Keep[I] = false;
+        continue;
+      }
+      ++Survivors;
+    }
+    if (Survivors > Opts.MaxPieces)
+      return false;
   }
-  Pieces = std::move(Next);
+  if (CC) {
+    CC->Labels.insert(CC->Labels.end(), Split.Labels.begin(),
+                      Split.Labels.end());
+    CC->Fine = CC->Fine && Split.Fine;
+  }
+  std::vector<Piece> Kept;
+  for (size_t I = 0; I < Next.size(); ++I)
+    if (Keep[I])
+      Kept.push_back(std::move(Next[I].P));
+  Pieces = std::move(Kept);
+  return true;
 }
 
-bool allPiecesProvenEmpty(const std::vector<Conjunction> &Pieces,
-                          const SparseRelation &R, CoreCollector *CC) {
-  for (const Conjunction &Piece : Pieces) {
-    SparseRelation Tmp = R;
-    Tmp.Conj = Piece;
-    Flattened F = flatten(Tmp);
-    presburger::EmptinessCore EC;
-    if (F.Set.isEmpty(kEmptinessBudget, CC ? &EC : nullptr) !=
+bool allPiecesProvenEmpty(std::vector<Piece> &Pieces, const SparseRelation &R,
+                          CoreCollector *CC) {
+  for (const Piece &P : Pieces)
+    if (!P.Points.empty())
+      return false;
+  for (Piece &P : Pieces)
+    if (checkPiece(P, nullptr, R, kEmptinessBudget, CC) !=
         presburger::Ternary::True)
       return false;
-    notePieceEmpty(CC, F, Piece, EC);
-  }
   return true;
 }
 
@@ -649,7 +766,7 @@ static bool provenUnsatWithAssertions(
     return Proven;
   };
 
-  std::vector<Conjunction> Pieces{Aug};
+  std::vector<Piece> Pieces{{Aug, {}}};
   if (allPiecesProvenEmpty(Pieces, R, CC))
     return Finish(true);
 
@@ -678,9 +795,7 @@ static bool provenUnsatWithAssertions(
         }
       }
     }
-    bool Overflowed = false;
-    applyDisjunctiveInstance(Pieces, Inst, R, Opts, Overflowed, CC);
-    if (Overflowed) {
+    if (!applyDisjunctiveInstance(Pieces, Inst, R, Opts, CC)) {
       ++S.Dropped;
       continue;
     }
@@ -709,6 +824,7 @@ namespace {
 void minimizeCore(const SparseRelation &R,
                   const std::vector<UniversalAssertion> &All,
                   const SimplifyOptions &Opts, UnsatCore &Core) {
+  static obs::Counter &Trials = obs::counter("ir.core_trials");
   SimplifyOptions Sub = Opts;
   Sub.CoreMinimizeBudget = 0;
   std::set<std::string> AssertLabels;
@@ -731,6 +847,7 @@ void minimizeCore(const SparseRelation &R,
       break;
     }
     --Budget;
+    Trials.add();
     std::vector<UniversalAssertion> Subset;
     for (const UniversalAssertion &A : All)
       if (A.Label != B && Live.count(A.Label))

@@ -966,6 +966,8 @@ bool satisfiesRow(const std::vector<int64_t> &Row,
   return IsEq ? V == 0 : V >= 0;
 }
 
+} // namespace
+
 bool liesIn(const BasicSet &S, const std::vector<int64_t> &P) {
   if (P.size() != S.numVars())
     return false;
@@ -977,8 +979,6 @@ bool liesIn(const BasicSet &S, const std::vector<int64_t> &P) {
       return false;
   return true;
 }
-
-} // namespace
 
 Ternary WitnessPool::probe(const BasicSet &Base, std::vector<int64_t> Row,
                            unsigned NodeBudget, EmptinessCore *Core) {

@@ -4,14 +4,20 @@
 //
 // Golden tests anchored to the paper's worked examples: the §2.2 unsat
 // demonstration, the §4.1 equality-discovery example, and the Definition 1
-// expression-set construction.
+// expression-set construction. The phase-2 tests pin how splits use the
+// integer points their pieces carry, and cross-check verdicts and cores
+// against brute-force enumeration.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sds/ir/Parser.h"
 #include "sds/ir/Simplify.h"
+#include "sds/obs/Trace.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <random>
 
 using namespace sds::ir;
 
@@ -282,4 +288,173 @@ TEST(InstantiatePhase1, InstanceCapRespected) {
   InstantiationStats Stats;
   instantiatePhase1(R.Conj, PS.assertions(), Opts, &Stats, nullptr);
   EXPECT_LE(Stats.Generated, 10u);
+}
+
+//===----------------------------------------------------------------------===//
+// §6.2 phase 2: pieces with points, the early overflow stop, citations.
+//===----------------------------------------------------------------------===//
+
+TEST(Phase2, DiscardedSplitIsNotCited) {
+  // Functional consistency splits f first. Its first branch, f(i) == f(j),
+  // is empty and is pruned, citing the split; but i > j and i < j both
+  // survive, so with MaxPieces = 1 the split overflows and is thrown away.
+  // (No point can lie in both, so the pruning check does run.) The g split
+  // then empties all three of its branches (k == l, g(k) > g(l)) and
+  // completes the proof, which must cite the g split alone.
+  SparseRelation R = parse("{ [i, j, k, l] : f(i) >= f(j) + 1 && "
+                           "k >= l && l >= k && g(k) >= g(l) + 1 }");
+  SimplifyOptions Opts;
+  Opts.MaxPieces = 1;
+  Opts.SemanticPhase1 = false; // keep k == l out of phase 1
+  InstantiationStats Stats;
+  UnsatCore Core;
+  ASSERT_TRUE(provenUnsatAffineOnly(R, Opts, &Stats, &Core));
+  EXPECT_EQ(Stats.Dropped, 1u);
+  EXPECT_EQ(Stats.Phase2Used, 1u);
+  EXPECT_TRUE(Core.FromFarkas);
+  EXPECT_EQ(Core.Assertions,
+            std::vector<std::string>{"functional_consistency(g) [disjunctive]"});
+}
+
+TEST(Phase2, OverflowFromPointsAloneSolvesNothing) {
+  // Every point of the relation has i > j and f(i) == f(j), so the point
+  // the first (one-piece) check finds lies in two of the three branches of
+  // the i == j => f(i) == f(j) split. Two children with a point exceed
+  // MaxPieces = 1: the split overflows without a solve.
+  sds::presburger::clearQueryCache(); // a cached verdict carries no point
+  SparseRelation R =
+      parse("{ [i, j] : i >= j + 1 && f(i) >= f(j) && f(j) >= f(i) }");
+  SimplifyOptions Opts;
+  Opts.MaxPieces = 1;
+  Opts.SemanticPhase1 = false;
+  sds::obs::Counter &Checks = sds::obs::counter("ir.phase2_checks");
+  sds::obs::Counter &Skips = sds::obs::counter("ir.phase2_witness_skips");
+  uint64_t Checks0 = Checks.value(), Skips0 = Skips.value();
+  InstantiationStats Stats;
+  EXPECT_FALSE(provenUnsatAffineOnly(R, Opts, &Stats));
+  EXPECT_EQ(Stats.Dropped, 1u);
+  EXPECT_EQ(Stats.Phase2Used, 0u);
+  EXPECT_EQ(Checks.value() - Checks0, 1u); // the one-piece check only
+  EXPECT_EQ(Skips.value() - Skips0, 2u);
+}
+
+namespace {
+
+/// A random relation in the shape of Phase2CaseSplit: i, j in [0, 1], f(0)
+/// and f(1) pinned to constants, and one constraint on f(i), f(j), i and j
+/// with small coefficients. Tying f(i) and f(j) to the pinned values needs
+/// case splits on the arguments' equality, which only phase 2 makes.
+SparseRelation randomRelation(std::mt19937 &Rng) {
+  std::uniform_int_distribution<int64_t> Sign(0, 1), Coef(-1, 1),
+      Const(-8, 8), Value(0, 5);
+  std::uniform_int_distribution<int> Coin(0, 1);
+  Expr I = Expr::var("i"), J = Expr::var("j");
+  SparseRelation R;
+  R.InVars = {"i", "j"};
+  R.Conj.add(Constraint::geq(I));
+  R.Conj.add(Constraint::geq(Expr(1) - I));
+  R.Conj.add(Constraint::geq(J));
+  R.Conj.add(Constraint::geq(Expr(1) - J));
+  R.Conj.add(Constraint::equals(Expr::call("f", {Expr(0)}), Expr(Value(Rng))));
+  R.Conj.add(Constraint::equals(Expr::call("f", {Expr(1)}), Expr(Value(Rng))));
+  Expr E = Expr::call("f", {I}) * (Sign(Rng) ? 1 : -1) +
+           Expr::call("f", {J}) * (Sign(Rng) ? 1 : -1) + I * Coef(Rng) +
+           J * Coef(Rng) + Expr(Const(Rng));
+  R.Conj.add(Coin(Rng) ? Constraint::eq(E) : Constraint::geq(E));
+  return R;
+}
+
+/// Is there an f : [0, 1] -> [0, 5], monotonic or strictly monotonic when
+/// asked, and an (i, j) satisfying `R`? Every such f extends to a function
+/// on all integers with the same property, so a model here is a real one.
+bool bruteForceSatisfiable(const SparseRelation &R, bool Monotonic,
+                           bool Strict) {
+  std::vector<int64_t> F(2, 0);
+  int64_t I = 0, J = 0;
+  std::function<int64_t(const Expr &)> Eval = [&](const Expr &E) {
+    int64_t V = E.constant();
+    for (const Expr::Term &T : E.terms()) {
+      int64_t A;
+      if (T.A.isVar())
+        A = T.A.Name == "i" ? I : J;
+      else
+        A = F[static_cast<size_t>(Eval(T.A.Args[0]))];
+      V += T.Coeff * A;
+    }
+    return V;
+  };
+  auto Holds = [&] {
+    for (const Constraint &C : R.Conj.constraints()) {
+      int64_t V = Eval(C.E);
+      if (C.isEq() ? V != 0 : V < 0)
+        return false;
+    }
+    return true;
+  };
+  while (true) {
+    bool Admissible = true;
+    for (size_t X = 0; X + 1 < F.size(); ++X)
+      if ((Strict && F[X] >= F[X + 1]) || (Monotonic && F[X] > F[X + 1]))
+        Admissible = false;
+    if (Admissible)
+      for (I = 0; I <= 1; ++I)
+        for (J = 0; J <= 1; ++J)
+          if (Holds())
+            return true;
+    size_t X = 0;
+    for (; X < F.size() && ++F[X] > 5; ++X)
+      F[X] = 0;
+    if (X == F.size())
+      return false;
+  }
+}
+
+} // namespace
+
+TEST(Phase2, VerdictsAndCoresAgreeWithBruteForce) {
+  // Small MaxPieces makes splits overflow often, so discarded splits, the
+  // early stop and points inherited across splits are all exercised. A
+  // proof must never refute a relation brute force satisfies, and its core
+  // must be a real core: with only the properties the core cites, the
+  // relation must still have no model.
+  sds::presburger::clearQueryCache(); // a cached verdict carries no point
+  std::mt19937 Rng(20190622);
+  SimplifyOptions Opts;
+  Opts.MaxPieces = 3;
+  sds::obs::Counter &Skips = sds::obs::counter("ir.phase2_witness_skips");
+  uint64_t Skips0 = Skips.value();
+  unsigned Proven = 0, Dropped = 0, Phase2Proofs = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    SparseRelation R = randomRelation(Rng);
+    std::string Text = R.str();
+    int Prop = Trial % 3; // none, monotonic, strictly monotonic
+    PropertySet PS;
+    if (Prop == 1)
+      PS.add(PropertyKind::MonotonicIncreasing, "f");
+    if (Prop == 2)
+      PS.add(PropertyKind::StrictMonotonicIncreasing, "f");
+    InstantiationStats Stats;
+    UnsatCore Core;
+    bool Unsat = provenUnsat(R, PS, Opts, &Stats, &Core);
+    Dropped += Stats.Dropped;
+    if (!Unsat) {
+      EXPECT_TRUE(Core.Assertions.empty()) << Text;
+      continue;
+    }
+    ++Proven;
+    Phase2Proofs += Stats.Phase2Used > 0;
+    EXPECT_FALSE(bruteForceSatisfiable(R, Prop == 1, Prop == 2)) << Text;
+    bool CitesProperty = false;
+    for (const std::string &L : Core.Assertions)
+      CitesProperty |= labelBase(L) == "monotonic_increasing(f)" ||
+                       labelBase(L) == "strict_monotonic_increasing(f)";
+    EXPECT_FALSE(bruteForceSatisfiable(R, CitesProperty && Prop == 1,
+                                       CitesProperty && Prop == 2))
+        << Text;
+  }
+  // The batch must reach the code it is about.
+  EXPECT_GT(Proven, 100u);
+  EXPECT_GT(Phase2Proofs, 20u);
+  EXPECT_GT(Dropped, 100u);
+  EXPECT_GT(Skips.value(), Skips0);
 }

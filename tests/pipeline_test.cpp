@@ -24,10 +24,11 @@ using codegen::Complexity;
 
 namespace {
 
-/// Each runtime dependence of the five compile kernels: a line with its
-/// label and deciding stage, then one per evidence string (the equalities
-/// discovery added) and one per assertion of its core.
-std::vector<std::string> runtimeEvidenceLines() {
+/// Each dependence of the five compile kernels whose status is `Status`:
+/// a line with its label and deciding stage, then one per evidence string
+/// (the equalities discovery added, or the refutation's narrative) and one
+/// per assertion of its core.
+std::vector<std::string> coreLines(DepStatus Status) {
   const std::pair<const char *, kernels::Kernel> Kernels[] = {
       {"spmv_csr", kernels::spmvCSR()},
       {"fs_csr", kernels::forwardSolveCSR()},
@@ -39,7 +40,7 @@ std::vector<std::string> runtimeEvidenceLines() {
   for (const auto &[Id, K] : Kernels) {
     PipelineResult R = analyzeKernel(K);
     for (const AnalyzedDependence &D : R.Deps) {
-      if (D.Status != DepStatus::Runtime)
+      if (D.Status != Status)
         continue;
       Lines.push_back(std::string(Id) + " " + D.Dep.label() + " [" +
                       D.Prov.Stage + "]");
@@ -321,5 +322,243 @@ TEST(Pipeline, RuntimeEvidenceAndCoresArePinned) {
       "  core strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
       "  core triangular_entries_ge(rowidx, colptr)",
   };
-  EXPECT_EQ(runtimeEvidenceLines(), Expected);
+  EXPECT_EQ(coreLines(DepStatus::Runtime), Expected);
+}
+
+// The core behind every refuted dependence of the five compile kernels,
+// affine- and property-unsat alike. Phase 2 may skip work, but never the
+// work a proof's citations come from: every core must stay as it was.
+TEST(Pipeline, RefutationCoresArePinned) {
+  const std::vector<std::string> Expected = {
+      "spmv_csr y[i] (w)@S1 -> y[i] (w)@S1 [affine-unsat]",
+      "  evidence functional_consistency(rowptr)",
+      "  core functional_consistency(rowptr)",
+      "fs_csr u[i] (w)@S2 -> u[i] (w)@S2 [affine-unsat]",
+      "  evidence affine core infeasible",
+      "fs_csc x[j] (w)@S1 -> x[j] (w)@S1 [affine-unsat]",
+      "  evidence affine core infeasible",
+      "fs_csc x[j] (w)@S1 -> x[j] (r)@S2 [affine-unsat]",
+      "  evidence affine core infeasible",
+      "fs_csc x[j] (r)@S2 -> x[j] (w)@S1 [affine-unsat]",
+      "  evidence affine core infeasible",
+      "gs_csr x[i] (w)@S2 -> x[i] (w)@S2 [affine-unsat]",
+      "  evidence affine core infeasible",
+      "fs_csr u[col(k)] (r)@S1 -> u[i] (w)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(rowptr)",
+      "  evidence strict_monotonic_increasing(rowptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(rowptr) [contra-strict] [contrapositive]",
+      "  evidence triangular_entries_le(col, rowptr)",
+      "  evidence domain_range(rowptr)",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core triangular_entries_le(col, rowptr)",
+      "fs_csc x[j] (w)@S1 -> x[rowidx(p)] (u)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence triangular_entries_ge(rowidx, colptr)",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence periodic_monotonic(rowidx, colptr)",
+      "  evidence core: 2 assertion(s), farkas, minimized",
+      "  core periodic_monotonic(rowidx, colptr)",
+      "  core segment_start_identity(rowidx, colptr)",
+      "fs_csc x[j] (r)@S2 -> x[rowidx(p)] (u)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence triangular_entries_ge(rowidx, colptr)",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence periodic_monotonic(rowidx, colptr)",
+      "  evidence core: 2 assertion(s), farkas, minimized",
+      "  core periodic_monotonic(rowidx, colptr)",
+      "  core segment_start_identity(rowidx, colptr)",
+      "lchol_csc lval[p] (r)@S1 -> lval[colptr(j)] (w)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence triangular_entries_lt(pruneset, pruneptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 3 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "  core triangular_entries_lt(pruneset, pruneptr)",
+      "lchol_csc lval[p] (r)@S1 -> lval[p] (w)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence triangular_entries_lt(pruneset, pruneptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 3 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "  core triangular_entries_lt(pruneset, pruneptr)",
+      "lchol_csc lval[colptr(j)] (w)@S2 -> lval[colptr(j)] (w)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contra]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence functional_consistency(rowidx)",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "lchol_csc lval[colptr(j)] (w)@S2 -> lval[p] (w)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "lchol_csc lval[colptr(j)] (w)@S2 -> lval[colptr(j)] (r)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence triangular_entries_ge(rowidx, colptr)",
+      "  evidence periodic_monotonic(rowidx, colptr)",
+      "  evidence functional_consistency(rowidx)",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "lchol_csc lval[p] (w)@S3 -> lval[colptr(j)] (w)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "lchol_csc lval[colptr(j)] (r)@S3 -> lval[colptr(j)] (w)@S2 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence periodic_monotonic(rowidx, colptr)",
+      "  evidence triangular_entries_ge(rowidx, colptr)",
+      "  evidence functional_consistency(rowidx)",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr)",
+      "lchol_csc lval[p] (w)@S3 -> lval[p] (w)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "lchol_csc lval[p] (w)@S3 -> lval[colptr(j)] (r)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+      "lchol_csc lval[colptr(j)] (r)@S3 -> lval[p] (w)@S3 [property-unsat]",
+      "  evidence strict_monotonic_increasing(colptr)",
+      "  evidence strict_monotonic_increasing(pruneptr)",
+      "  evidence strict_monotonic_increasing(colptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [weak]",
+      "  evidence strict_monotonic_increasing(colptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(colptr) [contra-strict] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [weak]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra] [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contra-strict] [contrapositive]",
+      "  evidence segment_start_identity(rowidx, colptr)",
+      "  evidence domain_range(colptr)",
+      "  evidence strict_monotonic_increasing(colptr) [contrapositive]",
+      "  evidence strict_monotonic_increasing(pruneptr) [contrapositive]",
+      "  evidence core: 1 assertion(s), farkas, minimized",
+      "  core strict_monotonic_increasing(colptr) [weak]",
+  };
+  std::vector<std::string> Lines = coreLines(DepStatus::AffineUnsat);
+  for (std::string &L : coreLines(DepStatus::PropertyUnsat))
+    Lines.push_back(std::move(L));
+  EXPECT_EQ(Lines, Expected);
 }
