@@ -28,6 +28,7 @@
 #define SDS_BENCH_COMMON_H
 
 #include "sds/driver/Driver.h"
+#include "sds/kernels/LoopNest.h"
 #include "sds/obs/Export.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
@@ -60,6 +61,12 @@ inline int envThreads() {
 inline bool envHeavy() {
   const char *S = std::getenv("SDS_HEAVY");
   return !S || std::atoi(S) != 0;
+}
+
+/// The kernels SDS_HEAVY=0 skips: Incomplete Cholesky and ILU0, whose
+/// analyses take the longest. Static Left Cholesky is not one of them.
+inline bool heavyKernel(const sds::kernels::Kernel &K) {
+  return K.Name == "Incomplete Cholesky CSC" || K.Name == "Incomplete LU0 CSR";
 }
 
 /// Thread count for a bench main(): `--threads N` on the command line

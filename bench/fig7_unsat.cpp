@@ -83,8 +83,7 @@ int main(int argc, char **argv) {
   };
   std::vector<DepRec> Deps;
   for (const kernels::Kernel &K : kernels::allKernels()) {
-    if (!Heavy && (K.Name.find("Cholesky") != std::string::npos ||
-                   K.Name.find("LU0") != std::string::npos))
+    if (!Heavy && bench::heavyKernel(K))
       continue;
     for (const deps::Dependence &D : deps::extractDependences(K)) {
       DepRec R;

@@ -31,8 +31,7 @@ int main(int argc, char **argv) {
               "expensive");
 
   for (const kernels::Kernel &K : kernels::allKernels()) {
-    if (!Heavy && (K.Name.find("Cholesky") != std::string::npos ||
-                   K.Name.find("LU0") != std::string::npos))
+    if (!Heavy && bench::heavyKernel(K))
       continue;
     PipelineResult R = analyzeKernel(K, Opts);
     unsigned Sat = R.count(DepStatus::Runtime) + R.count(DepStatus::Subsumed);

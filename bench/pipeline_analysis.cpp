@@ -16,7 +16,7 @@
 // Simplex pivots, solves and int64→int128 promotions are reported per
 // pass too: machine-independent work counts for the exact LP layer. So
 // are phase-2 piece solves, split children a known point spared a solve,
-// and minimizeCore's drop-one trials.
+// minimizeCore's drop-one trials, and the size of the interned term table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +58,7 @@ int main(int argc, char **argv) {
 
   std::vector<kernels::Kernel> Suite;
   for (const kernels::Kernel &K : kernels::allKernels()) {
-    if (!Heavy && (K.Name.find("Cholesky") != std::string::npos ||
-                   K.Name.find("LU0") != std::string::npos))
+    if (!Heavy && bench::heavyKernel(K))
       continue;
     Suite.push_back(K);
   }
@@ -135,6 +134,11 @@ int main(int argc, char **argv) {
     Report.set(P + "phase2_checks", Phase2Checks.value());
     Report.set(P + "phase2_witness_skips", Phase2Skips.value());
     Report.set(P + "core_trials", CoreTrials.value());
+    // The term table never shrinks: its size after the suite counts the
+    // distinct atoms the analysis needs, so a change that mints atoms per
+    // query shows up here.
+    Report.set(P + "interned_atoms",
+               static_cast<uint64_t>(ir::Atom::internedCount()));
     for (const auto &[S, Sec] : Stage)
       Report.set(P + "stage_" + S, Sec);
   }

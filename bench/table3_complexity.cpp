@@ -39,8 +39,7 @@ int main() {
   bool Heavy = bench::envHeavy();
   std::printf("Table 3: impact of simplification on inspector complexity\n\n");
   for (const kernels::Kernel &K : kernels::allKernels()) {
-    if (!Heavy && (K.Name.find("Cholesky") != std::string::npos ||
-                   K.Name.find("LU0") != std::string::npos))
+    if (!Heavy && bench::heavyKernel(K))
       continue;
     PipelineResult R = analyzeKernel(K);
     std::map<std::string, unsigned> Before, After;

@@ -11,19 +11,31 @@
 // sparse formats appear as arity-1 UFs, exactly as in the paper (§2.1).
 //
 // Expressions are kept canonical (terms sorted and merged, zero terms
-// dropped), so structural equality is semantic equality of the syntax tree,
-// and a canonical string form doubles as a map key. Two syntactically equal
-// UF calls always denote the same value, which the flattener exploits by
-// mapping them to one column (a free partial functional-consistency).
+// dropped), so structural equality is semantic equality of the syntax tree.
+// Two syntactically equal UF calls always denote the same value, which the
+// flattener exploits by mapping them to one column (a free partial
+// functional-consistency).
+//
+// Atoms are interned: every distinct variable or call is one immutable node
+// of a process-wide, append-only, thread-safe term table, and an `Atom` is
+// that node's 32-bit id. Copying an expression copies (coefficient, id)
+// pairs, and equal atoms have equal ids, so ids key hash lookups. Ids depend
+// on the order in which threads first meet a term, so no order, output or
+// branch may depend on an id's value: ordering goes through `compare`, which
+// is structural, and printing through `str`.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef SDS_IR_EXPR_H
 #define SDS_IR_EXPR_H
 
+#include "sds/support/SmallVector.h"
+
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sds {
@@ -31,27 +43,51 @@ namespace ir {
 
 class Expr;
 
-/// A variable reference or an uninterpreted function call.
-struct Atom {
+/// A variable reference or an uninterpreted function call: the id of an
+/// interned term node. A default-constructed atom refers to no node and
+/// may only be assigned to.
+class Atom {
+public:
   enum class Kind { Var, Call };
 
-  Kind K;
-  std::string Name;       ///< Variable or function name.
-  std::vector<Expr> Args; ///< Call arguments (empty for Var).
+  Atom() = default;
 
-  static Atom var(std::string Name);
-  static Atom call(std::string Fn, std::vector<Expr> Args);
+  static Atom var(std::string_view Name);
+  static Atom call(std::string_view Fn, std::vector<Expr> Args);
 
-  bool isVar() const { return K == Kind::Var; }
-  bool isCall() const { return K == Kind::Call; }
+  Kind kind() const;
+  bool isVar() const { return kind() == Kind::Var; }
+  bool isCall() const { return kind() == Kind::Call; }
+  /// Variable or function name.
+  const std::string &name() const;
+  /// Call arguments (empty for Var).
+  const std::vector<Expr> &args() const;
+
+  /// The interned id: equal atoms have equal ids. Keys lookups only; its
+  /// value depends on interning order and must not decide anything else.
+  uint32_t id() const { return Id; }
 
   /// Total order used for canonicalization (Vars before Calls, then by
-  /// name, then by arguments).
+  /// name, then by arguments). Independent of ids.
   int compare(const Atom &O) const;
-  bool operator==(const Atom &O) const { return compare(O) == 0; }
+  bool operator==(const Atom &O) const { return Id == O.Id; }
+  bool operator!=(const Atom &O) const { return Id != O.Id; }
   bool operator<(const Atom &O) const { return compare(O) < 0; }
 
-  std::string str() const;
+  /// Printed form, built once when the atom is first interned.
+  const std::string &str() const;
+
+  /// Atoms interned so far in this process. The table never shrinks.
+  static size_t internedCount();
+  /// The table's capacity. Interning one more distinct atom aborts the
+  /// process; callers that can refuse work (the server) check
+  /// `internedCount()` against it first.
+  static constexpr size_t kMaxInterned = size_t(1) << 24;
+
+private:
+  explicit Atom(uint32_t Id) : Id(Id) {}
+
+  uint32_t Id = ~0u;
 };
 
 /// A canonical integer-linear combination of atoms plus a constant.
@@ -61,19 +97,19 @@ public:
     int64_t Coeff;
     Atom A;
   };
+  /// Inline room for three terms covers nearly every constraint.
+  using TermList = SmallVector<Term, 3>;
 
   Expr() : Const(0) {}
   /*implicit*/ Expr(int64_t C) : Const(C) {}
 
-  static Expr var(std::string Name) {
-    return Expr(1, Atom::var(std::move(Name)));
-  }
-  static Expr call(std::string Fn, std::vector<Expr> Args) {
-    return Expr(1, Atom::call(std::move(Fn), std::move(Args)));
+  static Expr var(std::string_view Name) { return Expr(1, Atom::var(Name)); }
+  static Expr call(std::string_view Fn, std::vector<Expr> Args) {
+    return Expr(1, Atom::call(Fn, std::move(Args)));
   }
   Expr(int64_t Coeff, Atom A);
 
-  const std::vector<Term> &terms() const { return Terms; }
+  const TermList &terms() const { return Terms; }
   int64_t constant() const { return Const; }
 
   bool isConstant() const { return Terms.empty(); }
@@ -91,8 +127,13 @@ public:
   Expr &operator-=(const Expr &O) { return *this = *this - O; }
 
   int compare(const Expr &O) const;
-  bool operator==(const Expr &O) const { return compare(O) == 0; }
+  bool operator==(const Expr &O) const;
+  bool operator!=(const Expr &O) const { return !(*this == O); }
   bool operator<(const Expr &O) const { return compare(O) < 0; }
+
+  /// Hash of the terms (coefficients scaled by `Sign`) and, when
+  /// `WithConstant`, the constant. Keys lookups only (see Atom::id).
+  uint64_t hash(int64_t Sign = 1, bool WithConstant = true) const;
 
   /// Substitute variables by expressions, including inside UF-call
   /// arguments at any depth. Unmapped variables are left untouched.
@@ -109,9 +150,7 @@ public:
   std::string str() const;
 
 private:
-  void normalize();
-
-  std::vector<Term> Terms; // sorted by atom, no zero coefficients
+  TermList Terms; // sorted by atom, no zero coefficients
   int64_t Const;
 };
 

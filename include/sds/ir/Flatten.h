@@ -21,8 +21,10 @@
 #include "sds/ir/Relation.h"
 #include "sds/presburger/BasicSet.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sds {
@@ -32,9 +34,9 @@ namespace ir {
 /// correspondence retained.
 struct Flattened {
   presburger::BasicSet Set;
-  std::vector<Atom> Cols;         ///< Atom represented by each column.
-  std::vector<std::string> Names; ///< Printable name per column.
-  std::map<std::string, unsigned> ColIndex; ///< atom.str() -> column.
+  std::vector<Atom> Cols; ///< Atom represented by each column.
+  /// (atom id, column), sorted by id: the lookup behind columnOf.
+  std::vector<std::pair<uint32_t, unsigned>> ColIndex;
   /// Row provenance: for each equality (resp. inequality) row of `Set`, the
   /// index into the source Conjunction's constraints() it was lowered from.
   /// Together with presburger::EmptinessCore this maps an integer-level
@@ -47,9 +49,15 @@ struct Flattened {
   /// Look up the column of a variable or call atom; returns numVars() when
   /// the atom has no column.
   unsigned columnOf(const Atom &A) const {
-    auto It = ColIndex.find(A.str());
-    return It == ColIndex.end() ? Set.numVars() : It->second;
+    auto It = std::lower_bound(ColIndex.begin(), ColIndex.end(),
+                               std::pair<uint32_t, unsigned>{A.id(), 0});
+    return It != ColIndex.end() && It->first == A.id() ? It->second
+                                                       : Set.numVars();
   }
+
+  /// Lower `E` onto this column space: a row numVars + 1 wide. Returns
+  /// false when some atom of `E` has no column.
+  bool lowerRow(const Expr &E, std::vector<int64_t> &Row) const;
 
   /// Translate a constraint row (numVars + 1 wide) back into an Expr.
   Expr rowToExpr(const std::vector<int64_t> &Row) const;

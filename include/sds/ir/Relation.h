@@ -20,9 +20,10 @@
 
 #include "sds/ir/Expr.h"
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sds {
@@ -48,6 +49,10 @@ struct Constraint {
 
   bool isEq() const { return K == Kind::Eq; }
 
+  /// Lookup key over the kind and the expression's (coefficient, atom id)
+  /// terms; see Atom::id for what it may not decide.
+  uint64_t hash() const { return E.hash() * 2 + isEq(); }
+
   int compare(const Constraint &O) const {
     if (K != O.K)
       return K == Kind::Eq ? -1 : 1;
@@ -63,6 +68,11 @@ struct Constraint {
   std::string str() const {
     return E.str() + (isEq() ? " == 0" : " >= 0");
   }
+};
+
+/// Hasher for unordered containers keyed by a constraint.
+struct ConstraintHash {
+  size_t operator()(const Constraint &C) const { return C.hash(); }
 };
 
 /// A conjunction of constraints.
@@ -97,19 +107,21 @@ public:
   std::string str() const;
 
 private:
-  /// Index entry for one canonical linear part: the tightest Geq constant
-  /// and every equality constant seen. Enables O(log) syntactic
+  /// Implication index: one entry per constraint, plus one for the negated
+  /// linear part of each equality, sorted by the hash of that linear part
+  /// (its terms without the constant). An entry is (hash, constraint index
+  /// << 1 | negated). Lookups compare the terms, so a hash collision costs
+  /// a comparison, never a wrong answer. Enables O(log) syntactic
   /// implication checks in the instantiation hot loop (§6.2 phase 1 can
   /// consult this tens of thousands of times per relation).
-  struct LinInfo {
-    bool HasGeq = false;
-    int64_t MinGeqConst = 0;
-    std::set<int64_t> EqConsts;
-  };
+  using IndexEntry = std::pair<uint64_t, uint32_t>;
+
+  /// Call `Visit(D, Sign)` for every constraint `D` whose linear part,
+  /// scaled by `Sign`, equals `E`'s linear part, until it returns true.
+  template <typename Fn> bool anyLinearMatch(const Expr &E, Fn Visit) const;
 
   std::vector<Constraint> Cs; // deduplicated, insertion order
-  std::set<std::string> ExactKeys;
-  std::map<std::string, LinInfo> Index;
+  std::vector<IndexEntry> Index;
 };
 
 /// A dependence relation `{ [in] -> [out] : exists E : conjunction }`.

@@ -28,9 +28,9 @@
 #include "sds/ir/Relation.h"
 #include "sds/presburger/BasicSet.h"
 
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace sds {
@@ -74,20 +74,16 @@ struct UnsatCore {
 };
 
 /// Optional constraint-provenance ledger for instantiatePhase1. Maps each
-/// constraint the instantiation added (keyed by its canonical form) to the
-/// assertion labels that justify it, so an integer-level emptiness core
-/// can be translated into an UnsatCore. Constraints of the original
-/// relation carry no labels (`BaseKeys`); a constraint whose support could
-/// not be attributed is tagged with `Unattributed`, which forces the
-/// caller back to the coarse UsedLabels core.
+/// constraint the instantiation added to the assertion labels that justify
+/// it, so an integer-level emptiness core can be translated into an
+/// UnsatCore. Constraints of the original relation carry no labels
+/// (`Base`); a constraint whose support could not be attributed is tagged
+/// with `Unattributed`, which forces the caller back to the coarse
+/// UsedLabels core. Both containers are only looked up, never iterated.
 struct OriginMap {
-  std::map<std::string, std::vector<std::string>> ConstraintOrigins;
-  std::set<std::string> BaseKeys;
-
-  /// Canonical key of a constraint (mirrors Conjunction's dedup key).
-  static std::string keyOf(const Constraint &C) {
-    return (C.isEq() ? "=" : ">") + C.E.str();
-  }
+  std::unordered_map<Constraint, std::vector<std::string>, ConstraintHash>
+      ConstraintOrigins;
+  std::unordered_set<Constraint, ConstraintHash> Base;
 
   /// Sentinel label marking a constraint whose justification could not be
   /// traced (e.g. a semantic probe whose emptiness core was unavailable).

@@ -67,12 +67,12 @@ Value exprJSON(const ir::Expr &E) {
       Pair.push_back(Value(T.Coeff));
       Object A;
       if (T.A.isVar()) {
-        A.emplace("v", Value(T.A.Name));
+        A.emplace("v", Value(T.A.name()));
       } else {
-        A.emplace("f", Value(T.A.Name));
-        if (!T.A.Args.empty()) {
+        A.emplace("f", Value(T.A.name()));
+        if (!T.A.args().empty()) {
           Array Args;
-          for (const ir::Expr &Arg : T.A.Args)
+          for (const ir::Expr &Arg : T.A.args())
             Args.push_back(exprJSON(Arg));
           A.emplace("a", Value(std::move(Args)));
         }

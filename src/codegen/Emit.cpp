@@ -40,13 +40,13 @@ std::string exprToC(const ir::Expr &E) {
         Out += std::to_string(A) + "*";
     }
     if (T.A.isVar()) {
-      Out += sanitize(T.A.Name);
+      Out += sanitize(T.A.name());
     } else {
-      Out += T.A.Name + "[";
-      for (size_t I = 0; I < T.A.Args.size(); ++I) {
+      Out += T.A.name() + "[";
+      for (size_t I = 0; I < T.A.args().size(); ++I) {
         if (I)
           Out += ", ";
-        Out += exprToC(T.A.Args[I]);
+        Out += exprToC(T.A.args()[I]);
       }
       Out += "]";
     }

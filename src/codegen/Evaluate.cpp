@@ -179,19 +179,19 @@ private:
       CTerm CT;
       CT.Coeff = T.Coeff;
       if (T.A.isVar()) {
-        auto It = SlotOf.find(T.A.Name);
+        auto It = SlotOf.find(T.A.name());
         if (It != SlotOf.end()) {
           CT.Slot = It->second;
         } else {
           // A parameter: constant-fold it.
-          auto PIt = Env.Params.find(T.A.Name);
+          auto PIt = Env.Params.find(T.A.name());
           assert(PIt != Env.Params.end() && "unbound variable/parameter");
           C.Const += T.Coeff * PIt->second;
           continue;
         }
       } else {
-        assert(T.A.Args.size() == 1 && "only arity-1 index arrays occur");
-        CT.ArgIdx = compile(T.A.Args[0]);
+        assert(T.A.args().size() == 1 && "only arity-1 index arrays occur");
+        CT.ArgIdx = compile(T.A.args()[0]);
         const CExpr &Arg = Pool[static_cast<size_t>(CT.ArgIdx)];
         if (Arg.Terms.empty()) {
           CT.ArgSlot = -2; // pure constant argument
@@ -201,7 +201,7 @@ private:
           CT.ArgCoeff = Arg.Terms[0].Coeff;
           CT.ArgConst = Arg.Const;
         }
-        auto SIt = Env.Spans.find(T.A.Name);
+        auto SIt = Env.Spans.find(T.A.name());
         if (SIt != Env.Spans.end()) {
           // Devirtualized: probe the raw array with an inline bounds
           // check. The shared_ptr keep-alive guards against rebinding of
@@ -210,7 +210,7 @@ private:
           CT.Data = SIt->second->data();
           CT.Size = static_cast<int64_t>(SIt->second->size());
         } else {
-          auto FIt = Env.Arrays.find(T.A.Name);
+          auto FIt = Env.Arrays.find(T.A.name());
           assert(FIt != Env.Arrays.end() && "unbound index array");
           CT.Fn = &FIt->second;
         }

@@ -67,7 +67,7 @@ public:
   /// Top-level coefficient of variable `V` in `E` (0 when absent).
   static int64_t topLevelCoeff(const Expr &E, const std::string &V) {
     for (const Expr::Term &T : E.terms())
-      if (T.A.isVar() && T.A.Name == V)
+      if (T.A.isVar() && T.A.name() == V)
         return T.Coeff;
     return 0;
   }
@@ -158,8 +158,8 @@ public:
             break;
           }
           if (Fn.empty())
-            Fn = T.A.Name;
-          else if (Fn != T.A.Name)
+            Fn = T.A.name();
+          else if (Fn != T.A.name())
             AllSameFnCalls = false;
         }
         if (AllSameFnCalls && !Diff.terms().empty()) {
@@ -177,7 +177,7 @@ public:
       // Upper bound is a bare parameter: classify by name (n vs nnz).
       if (U.terms().size() == 1 && U.terms()[0].A.isVar() &&
           U.terms()[0].Coeff == 1) {
-        auto It = ParamClass.find(U.terms()[0].A.Name);
+        auto It = ParamClass.find(U.terms()[0].A.name());
         Consider(It != ParamClass.end() ? It->second : Complexity::n());
         continue;
       }

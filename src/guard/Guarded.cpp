@@ -78,7 +78,7 @@ bool appliesFunction(const deps::AnalyzedDependence &D,
     return false;
   for (const ir::SparseRelation *Rel : {&D.Dep.Rel, &D.Simplified})
     for (const ir::Atom &A : Rel->Conj.collectCalls())
-      if (Fns.count(A.Name))
+      if (Fns.count(A.name()))
         return true;
   return false;
 }

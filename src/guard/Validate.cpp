@@ -105,7 +105,7 @@ std::optional<int64_t> evalParamExpr(const Expr &E,
   for (const Expr::Term &T : E.terms()) {
     if (!T.A.isVar())
       return std::nullopt;
-    auto It = Env.Params.find(T.A.Name);
+    auto It = Env.Params.find(T.A.name());
     if (It == Env.Params.end())
       return std::nullopt;
     V += T.Coeff * It->second;

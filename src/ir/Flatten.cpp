@@ -21,55 +21,76 @@ Expr Flattened::rowToExpr(const std::vector<int64_t> &Row) const {
   return E;
 }
 
+bool Flattened::lowerRow(const Expr &E, std::vector<int64_t> &Row) const {
+  unsigned Width = Set.numVars();
+  Row.assign(Width + 1, 0);
+  Row[Width] = E.constant();
+  for (const Expr::Term &T : E.terms()) {
+    unsigned Col = columnOf(T.A);
+    if (Col == Width)
+      return false;
+    Row[Col] += T.Coeff;
+  }
+  return true;
+}
+
+/// Append every variable atom of `E` (at any depth) in appearance order.
+static void collectVarAtoms(const Expr &E, std::vector<Atom> &Out) {
+  for (const Expr::Term &T : E.terms()) {
+    if (T.A.isVar()) {
+      Out.push_back(T.A);
+      continue;
+    }
+    for (const Expr &Arg : T.A.args())
+      collectVarAtoms(Arg, Out);
+  }
+}
+
 Flattened flatten(const Conjunction &C,
                   const std::vector<std::string> &VarOrder) {
   Flattened F;
 
   auto AddColumn = [&](Atom A) {
-    std::string Key = A.str();
-    auto [It, Inserted] =
-        F.ColIndex.emplace(Key, static_cast<unsigned>(F.Cols.size()));
-    if (Inserted) {
-      F.Names.push_back(Key);
-      F.Cols.push_back(std::move(A));
-    }
-    return It->second;
+    std::pair<uint32_t, unsigned> Entry{A.id(), 0};
+    auto It = std::lower_bound(F.ColIndex.begin(), F.ColIndex.end(), Entry);
+    if (It != F.ColIndex.end() && It->first == A.id())
+      return;
+    Entry.second = static_cast<unsigned>(F.Cols.size());
+    F.ColIndex.insert(It, Entry);
+    F.Cols.push_back(A);
   };
 
   // 1. Named variables in the requested order.
   for (const std::string &V : VarOrder)
     AddColumn(Atom::var(V));
   // 2. Any stray variables (parameters etc.) in appearance order.
-  for (const std::string &V : C.collectVars())
-    AddColumn(Atom::var(V));
+  std::vector<Atom> Vars;
+  for (const Constraint &Cons : C.constraints())
+    collectVarAtoms(Cons.E, Vars);
+  for (Atom V : Vars)
+    AddColumn(V);
   // 3. One column per structurally distinct UF call (nested included, so
   //    instantiation-produced constraints over inner calls line up too).
-  for (const Atom &Call : C.collectCalls())
+  for (Atom Call : C.collectCalls())
     AddColumn(Call);
 
   unsigned Width = static_cast<unsigned>(F.Cols.size());
-  presburger::BasicSet Set(Width);
+  F.Set = presburger::BasicSet(Width);
 
   const std::vector<Constraint> &Cs = C.constraints();
+  std::vector<int64_t> Row;
   for (unsigned CI = 0; CI < Cs.size(); ++CI) {
     const Constraint &Cons = Cs[CI];
-    std::vector<int64_t> Row(Width + 1, 0);
-    Row[Width] = Cons.E.constant();
-    for (const Expr::Term &T : Cons.E.terms()) {
-      auto It = F.ColIndex.find(T.A.str());
-      assert(It != F.ColIndex.end() && "atom without a column");
-      Row[It->second] += T.Coeff;
-    }
+    [[maybe_unused]] bool Lowered = F.lowerRow(Cons.E, Row);
+    assert(Lowered && "atom without a column");
     if (Cons.isEq()) {
-      Set.addEquality(std::move(Row));
+      F.Set.addEquality(std::move(Row));
       F.EqRowConstraint.push_back(CI);
     } else {
-      Set.addInequality(std::move(Row));
+      F.Set.addInequality(std::move(Row));
       F.IneqRowConstraint.push_back(CI);
     }
   }
-
-  F.Set = std::move(Set);
   return F;
 }
 

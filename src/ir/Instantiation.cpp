@@ -7,6 +7,7 @@
 #include "sds/ir/Flatten.h"
 #include "sds/ir/Simplify.h"
 #include "sds/obs/Trace.h"
+#include "sds/support/Hash.h"
 #include "sds/support/MathExtras.h"
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace sds {
 namespace ir {
@@ -21,7 +24,7 @@ namespace ir {
 std::vector<Expr> argumentExpressionSet(const Conjunction &C) {
   std::vector<Expr> E;
   for (const Atom &Call : C.collectCalls())
-    for (const Expr &Arg : Call.Args)
+    for (const Expr &Arg : Call.args())
       E.push_back(Arg);
   std::sort(E.begin(), E.end());
   E.erase(std::unique(E.begin(), E.end()), E.end());
@@ -78,10 +81,9 @@ bool constraintImplies(const Constraint &A, const Constraint &B) {
 /// contributes the unattributed sentinel (forcing the coarse fallback).
 void appendOrigin(const OriginMap &O, const Constraint &C,
                   std::vector<std::string> &Out) {
-  std::string Key = OriginMap::keyOf(C);
-  if (O.BaseKeys.count(Key))
+  if (O.Base.count(C))
     return;
-  auto It = O.ConstraintOrigins.find(Key);
+  auto It = O.ConstraintOrigins.find(C);
   if (It == O.ConstraintOrigins.end()) {
     Out.push_back(OriginMap::unattributed());
     return;
@@ -98,10 +100,9 @@ void appendSyntacticSupport(const OriginMap &O, const Conjunction &Aug,
                             std::vector<std::string> &Out) {
   if (P.E.isConstant())
     return; // constant-true: no support needed
-  std::string Key = OriginMap::keyOf(P);
-  if (O.BaseKeys.count(Key))
+  if (O.Base.count(P))
     return;
-  auto It = O.ConstraintOrigins.find(Key);
+  auto It = O.ConstraintOrigins.find(P);
   if (It != O.ConstraintOrigins.end()) {
     Out.insert(Out.end(), It->second.begin(), It->second.end());
     return;
@@ -110,10 +111,9 @@ void appendSyntacticSupport(const OriginMap &O, const Conjunction &Aug,
   for (const Constraint &C2 : Aug.constraints()) {
     if (!constraintImplies(C2, P))
       continue;
-    std::string K2 = OriginMap::keyOf(C2);
-    if (O.BaseKeys.count(K2))
+    if (O.Base.count(C2))
       return; // implied outright by the base relation
-    auto It2 = O.ConstraintOrigins.find(K2);
+    auto It2 = O.ConstraintOrigins.find(C2);
     if (It2 != O.ConstraintOrigins.end() &&
         (!Best || It2->second.size() < Best->size()))
       Best = &It2->second;
@@ -159,6 +159,47 @@ void notePieceEmpty(CoreCollector *CC, const Flattened &F,
   }
 }
 
+/// An instance as integers: for the antecedent, then the consequent, the
+/// constraint count, then per constraint its kind, term count,
+/// (coefficient, atom id) pairs and constant. Equal keys are equal
+/// instances.
+using InstanceKey = std::vector<int64_t>;
+
+struct InstanceKeyHash {
+  size_t operator()(const InstanceKey &K) const {
+    return support::xxh64(K.data(), K.size() * sizeof(int64_t), 0);
+  }
+};
+
+/// Instances met so far, across enumeration rounds. Only looked up.
+class SeenInstances {
+public:
+  /// True the first time an instance equal to `Inst` is offered.
+  bool firstSighting(const AssertionInstance &Inst) {
+    Scratch.clear();
+    append(Inst.Antecedent);
+    append(Inst.Consequent);
+    return Seen.insert(Scratch).second;
+  }
+
+private:
+  void append(const Conjunction &C) {
+    Scratch.push_back(static_cast<int64_t>(C.constraints().size()));
+    for (const Constraint &Cons : C.constraints()) {
+      Scratch.push_back(Cons.isEq());
+      Scratch.push_back(static_cast<int64_t>(Cons.E.terms().size()));
+      for (const Expr::Term &T : Cons.E.terms()) {
+        Scratch.push_back(T.Coeff);
+        Scratch.push_back(T.A.id());
+      }
+      Scratch.push_back(Cons.E.constant());
+    }
+  }
+
+  std::unordered_set<InstanceKey, InstanceKeyHash> Seen;
+  InstanceKey Scratch;
+};
+
 /// Enumerate all assertion instances over E^n, pruning vacuous ones.
 /// `Seen` deduplicates across enumeration rounds.
 void enumerateInstances(
@@ -166,7 +207,7 @@ void enumerateInstances(
                         const std::vector<Expr> &E,
                         const SimplifyOptions &Opts,
                         InstantiationStats &Stats,
-                        std::set<std::string> &Seen,
+                        SeenInstances &Seen,
                         std::vector<AssertionInstance> &Out) {
   std::map<std::string, Expr> Map; // reused across instances
   for (const UniversalAssertion &A : Assertions) {
@@ -197,9 +238,7 @@ void enumerateInstances(
         ++Stats.Vacuous;
       } else {
         // Deduplicate structurally (many tuples yield the same instance).
-        std::string Key =
-            Inst.Antecedent.str() + "=>" + Inst.Consequent.str();
-        if (Seen.insert(std::move(Key)).second)
+        if (Seen.firstSighting(Inst))
           Out.push_back(std::move(Inst));
       }
 
@@ -222,7 +261,7 @@ void enumerateInstances(
 /// Figure 7 — and they flow through the same two-phase machinery.
 void collectFunctionalConsistencyInstances(
     const Conjunction &C, const SimplifyOptions &Opts,
-    InstantiationStats &Stats, std::set<std::string> &Seen,
+    InstantiationStats &Stats, SeenInstances &Seen,
     std::vector<AssertionInstance> &Out) {
   std::vector<Atom> Calls = C.collectCalls();
   for (size_t I = 0; I < Calls.size(); ++I) {
@@ -230,14 +269,14 @@ void collectFunctionalConsistencyInstances(
       if (Stats.Generated >= Opts.MaxInstances)
         return;
       const Atom &A = Calls[I], &B = Calls[J];
-      if (A.Name != B.Name || A.Args.size() != B.Args.size())
+      if (A.name() != B.name() || A.args().size() != B.args().size())
         continue;
       ++Stats.Generated;
       AssertionInstance Inst;
-      Inst.Label = "functional_consistency(" + A.Name + ")";
+      Inst.Label = "functional_consistency(" + A.name() + ")";
       bool Vacuous = false;
-      for (size_t K = 0; K < A.Args.size(); ++K) {
-        Constraint Eq = Constraint::equals(A.Args[K], B.Args[K]);
+      for (size_t K = 0; K < A.args().size(); ++K) {
+        Constraint Eq = Constraint::equals(A.args()[K], B.args()[K]);
         if (constantFalse(Eq)) {
           Vacuous = true;
           break;
@@ -250,8 +289,7 @@ void collectFunctionalConsistencyInstances(
       }
       Inst.Consequent.add(
           Constraint::equals(Expr(1, A), Expr(1, B)));
-      std::string Key = Inst.Antecedent.str() + "=>" + Inst.Consequent.str();
-      if (Seen.insert(std::move(Key)).second)
+      if (Seen.firstSighting(Inst))
         Out.push_back(std::move(Inst));
     }
   }
@@ -270,11 +308,11 @@ instantiatePhase1(const Conjunction &C,
 
   Conjunction Aug = C;
   if (Origins) {
-    Origins->BaseKeys.clear();
+    Origins->Base.clear();
     for (const Constraint &C0 : Aug.constraints())
-      Origins->BaseKeys.insert(OriginMap::keyOf(C0));
+      Origins->Base.insert(C0);
   }
-  std::set<std::string> SeenInstances;
+  SeenInstances Seen;
   std::vector<AssertionInstance> Instances;
   std::vector<bool> Consumed;
   // The contrapositive rule's constraints per instance, built once when
@@ -287,29 +325,25 @@ instantiatePhase1(const Conjunction &C,
   std::vector<std::optional<Contrapositive>> Contra;
   unsigned ProbesLeft = Opts.SemanticPhase1 ? Opts.SemanticProbeCap : 0;
 
-  // Calls present in Aug, refreshed when consequents are appended: an
-  // antecedent mentioning a call that occurs nowhere in Aug can never be
-  // entailed, so we skip the (much costlier) semantic probe. The flattened
-  // form of Aug is kept alongside so each probe only lowers one extra row
-  // instead of re-flattening the whole conjunction. Every probe is
-  // AugFlat.Set plus one row, so the points of non-empty probes answer
-  // later probes (Witnesses); a re-flatten re-maps them by column name,
-  // keeping those that still lie in the grown set.
-  std::set<std::string> AugCallKeys;
+  // The flattened form of Aug, refreshed when consequents are appended, so
+  // each probe only lowers one extra row instead of re-flattening the
+  // whole conjunction. Its columns are Aug's atoms: an antecedent
+  // mentioning a call that has no column can never be entailed, so we skip
+  // the (much costlier) semantic probe. Every probe is AugFlat.Set plus one
+  // row, so the points of non-empty probes answer later probes
+  // (Witnesses); a re-flatten re-maps them by atom, keeping those that
+  // still lie in the grown set.
   Flattened AugFlat;
   presburger::WitnessPool Witnesses;
   auto RefreshCalls = [&] {
-    AugCallKeys.clear();
-    for (const Atom &A : Aug.collectCalls())
-      AugCallKeys.insert(A.str());
-    std::map<std::string, unsigned> OldColIndex = std::move(AugFlat.ColIndex);
+    Flattened Old = std::move(AugFlat);
     AugFlat = flatten(Aug, {});
     std::vector<unsigned> OldColumn(AugFlat.Set.numVars(),
                                     presburger::WitnessPool::kNoColumn);
-    for (const auto &[Name, Col] : AugFlat.ColIndex) {
-      auto It = OldColIndex.find(Name);
-      if (It != OldColIndex.end())
-        OldColumn[Col] = It->second;
+    for (unsigned Col = 0; Col < AugFlat.Cols.size(); ++Col) {
+      unsigned OldCol = Old.columnOf(AugFlat.Cols[Col]);
+      if (OldCol != Old.Set.numVars())
+        OldColumn[Col] = OldCol;
     }
     Witnesses.remap(OldColumn, AugFlat.Set);
   };
@@ -318,8 +352,8 @@ instantiatePhase1(const Conjunction &C,
   auto CallsPresent = [&](const Constraint &P) {
     CallScratch.clear();
     P.E.collectCalls(CallScratch);
-    for (const Atom &A : CallScratch)
-      if (!AugCallKeys.count(A.str()))
+    for (Atom A : CallScratch)
+      if (AugFlat.columnOf(A) == AugFlat.Set.numVars())
         return false;
     return true;
   };
@@ -329,7 +363,7 @@ instantiatePhase1(const Conjunction &C,
   // run with a small node budget (rational infeasibility decides almost
   // every probe). Positive results are cached forever (Aug only grows);
   // negative results are cached per pass.
-  std::map<std::string, ProbeResult> ProbeCache;
+  std::unordered_map<Constraint, ProbeResult, ConstraintHash> ProbeCache;
   // Map a probe's integer-level emptiness core back onto Aug's constraints
   // (the probe set is AugFlat.Set plus one trailing inequality — the
   // negated goal, which is the proof's reductio and needs no label).
@@ -355,23 +389,17 @@ instantiatePhase1(const Conjunction &C,
   auto ImpliedSemantically = [&](const Constraint &P) {
     if (ProbesLeft == 0 || !CallsPresent(P))
       return false;
-    std::string Key = P.str();
-    auto Cached = ProbeCache.find(Key);
+    auto Cached = ProbeCache.find(P);
     if (Cached != ProbeCache.end())
       return Cached->second.Implied;
     unsigned Budget = std::min(kEmptinessBudget, 8u);
     ProbeResult PR;
     auto EmptyWith = [&](const Constraint &Neg) {
-      // Lower !P onto Aug's column space; atoms are present (checked).
-      unsigned Width = AugFlat.Set.numVars();
-      std::vector<int64_t> Row(Width + 1, 0);
-      Row[Width] = Neg.E.constant();
-      for (const Expr::Term &T : Neg.E.terms()) {
-        auto It = AugFlat.ColIndex.find(T.A.str());
-        if (It == AugFlat.ColIndex.end())
-          return false; // unseen variable: cannot be entailed
-        Row[It->second] += T.Coeff;
-      }
+      // Lower !P onto Aug's column space; calls are present (checked),
+      // an unseen variable means P cannot be entailed.
+      std::vector<int64_t> Row;
+      if (!AugFlat.lowerRow(Neg.E, Row))
+        return false;
       presburger::EmptinessCore EC;
       if (Witnesses.probe(AugFlat.Set, std::move(Row), Budget,
                           Origins ? &EC : nullptr) !=
@@ -392,7 +420,7 @@ instantiatePhase1(const Conjunction &C,
     if (!PR.Implied)
       PR.Support.clear();
     bool Result = PR.Implied;
-    ProbeCache.emplace(std::move(Key), std::move(PR));
+    ProbeCache.emplace(P, std::move(PR));
     return Result;
   };
 
@@ -408,14 +436,13 @@ instantiatePhase1(const Conjunction &C,
   // functional-consistency guards are numerous and mostly matter for
   // phase 2, so they queue behind.
   std::vector<AssertionInstance> NewInstances;
-  enumerateInstances(Assertions, E, Opts, S, SeenInstances, NewInstances);
+  enumerateInstances(Assertions, E, Opts, S, Seen, NewInstances);
   std::stable_sort(NewInstances.begin(), NewInstances.end(),
                    [](const AssertionInstance &A, const AssertionInstance &B) {
                      return A.Antecedent.constraints().size() <
                             B.Antecedent.constraints().size();
                    });
-  collectFunctionalConsistencyInstances(Aug, Opts, S, SeenInstances,
-                                        NewInstances);
+  collectFunctionalConsistencyInstances(Aug, Opts, S, Seen, NewInstances);
   for (AssertionInstance &Inst : NewInstances) {
     const std::vector<Constraint> &Qs = Inst.Consequent.constraints();
     const std::vector<Constraint> &Ps = Inst.Antecedent.constraints();
@@ -474,7 +501,7 @@ instantiatePhase1(const Conjunction &C,
             if (Aug.impliesSyntactically(P)) {
               appendSyntacticSupport(*Origins, Aug, P, Labels);
             } else {
-              auto It = ProbeCache.find(P.str());
+              auto It = ProbeCache.find(P);
               if (It != ProbeCache.end() && It->second.Implied)
                 Labels.insert(Labels.end(), It->second.Support.begin(),
                               It->second.Support.end());
@@ -485,11 +512,9 @@ instantiatePhase1(const Conjunction &C,
           std::sort(Labels.begin(), Labels.end());
           Labels.erase(std::unique(Labels.begin(), Labels.end()),
                        Labels.end());
-          for (const Constraint &Q : Inst.Consequent.constraints()) {
-            std::string Key = OriginMap::keyOf(Q);
-            if (!Origins->BaseKeys.count(Key))
-              Origins->ConstraintOrigins.emplace(std::move(Key), Labels);
-          }
+          for (const Constraint &Q : Inst.Consequent.constraints())
+            if (!Origins->Base.count(Q))
+              Origins->ConstraintOrigins.emplace(Q, Labels);
         }
         Aug.append(Inst.Consequent);
         RefreshCalls();
@@ -509,9 +534,8 @@ instantiatePhase1(const Conjunction &C,
           std::sort(Labels.begin(), Labels.end());
           Labels.erase(std::unique(Labels.begin(), Labels.end()),
                        Labels.end());
-          std::string Key = OriginMap::keyOf(Contra[I]->NotP);
-          if (!Origins->BaseKeys.count(Key))
-            Origins->ConstraintOrigins.emplace(std::move(Key),
+          if (!Origins->Base.count(Contra[I]->NotP))
+            Origins->ConstraintOrigins.emplace(Contra[I]->NotP,
                                                std::move(Labels));
         }
         Aug.add(Contra[I]->NotP);
@@ -540,9 +564,8 @@ namespace {
 /// Most integer points one phase-2 piece keeps.
 constexpr size_t kPiecePoints = 8;
 
-/// An integer point over a piece's atoms, keyed by column name (the
-/// flattener's ColIndex key, Atom::str()).
-using NamedPoint = std::map<std::string, int64_t>;
+/// An integer point over a piece's atoms: (atom id, value), sorted by id.
+using NamedPoint = std::vector<std::pair<uint32_t, int64_t>>;
 
 /// One DNF piece of phase 2: a conjunction plus up to kPiecePoints integer
 /// points known to satisfy every one of its constraints. A piece holding a
@@ -557,7 +580,7 @@ struct Piece {
 struct NamedRow {
   bool IsEq;
   int64_t Const;
-  std::vector<std::pair<int64_t, std::string>> Terms; ///< coeff, column
+  std::vector<std::pair<int64_t, Atom>> Terms; ///< coeff, atom
 };
 
 /// Does `P` satisfy every row? Checked 128-bit arithmetic; an overflow or
@@ -565,9 +588,14 @@ struct NamedRow {
 bool satisfiesAll(const NamedPoint &P, const std::vector<NamedRow> &Rows) {
   for (const NamedRow &Row : Rows) {
     Int128 V = Row.Const;
-    for (const auto &[Coeff, Key] : Row.Terms) {
-      auto It = P.find(Key);
-      if (It == P.end() || addOverflow128(V, Int128(Coeff) * It->second, V))
+    for (const auto &[Coeff, A] : Row.Terms) {
+      auto It = std::lower_bound(P.begin(), P.end(),
+                                 std::pair<uint32_t, int64_t>{A.id(), 0},
+                                 [](const auto &L, const auto &R) {
+                                   return L.first < R.first;
+                                 });
+      if (It == P.end() || It->first != A.id() ||
+          addOverflow128(V, Int128(Coeff) * It->second, V))
         return false;
     }
     if (Row.IsEq ? V != 0 : V < 0)
@@ -603,7 +631,8 @@ presburger::Ternary checkPiece(Piece &P, Piece *Parent,
              presburger::liesIn(F.Set, Witness)) {
     NamedPoint Pt;
     for (size_t J = 0; J < Witness.size(); ++J)
-      Pt.emplace(F.Names[J], Witness[J]);
+      Pt.emplace_back(F.Cols[J].id(), Witness[J]);
+    std::sort(Pt.begin(), Pt.end());
     addPoint(P, Pt);
     if (Parent)
       addPoint(*Parent, Pt);
@@ -641,7 +670,7 @@ bool applyDisjunctiveInstance(std::vector<Piece> &Pieces,
     for (const Constraint &C : Branches[B]) {
       NamedRow Row{C.isEq(), C.E.constant(), {}};
       for (const Expr::Term &T : C.E.terms())
-        Row.Terms.emplace_back(T.Coeff, T.A.str());
+        Row.Terms.emplace_back(T.Coeff, T.A);
       BranchRows[B].push_back(std::move(Row));
     }
   // A child takes each parent point that satisfies its branch.
@@ -780,9 +809,8 @@ static bool provenUnsatWithAssertions(
       // for their exhaustiveness, nothing else is needed.
       std::vector<std::string> L{Inst.Label + " [disjunctive]"};
       auto RegisterBranch = [&](const Constraint &BC) {
-        std::string Key = OriginMap::keyOf(BC);
-        if (!Origins->BaseKeys.count(Key))
-          Origins->ConstraintOrigins.emplace(std::move(Key), L);
+        if (!Origins->Base.count(BC))
+          Origins->ConstraintOrigins.emplace(BC, L);
       };
       for (const Constraint &Q : Inst.Consequent.constraints())
         RegisterBranch(Q);

@@ -13,10 +13,28 @@
 namespace sds {
 namespace ir {
 
-/// Canonical key of a constraint's linear part (expression minus its
-/// constant term).
-static std::string linearKey(const Expr &E) {
-  return (E - Expr(E.constant())).str();
+/// Does `D`'s linear part, scaled by `Sign`, equal `E`'s?
+static bool sameLinearPart(const Expr &D, int64_t Sign, const Expr &E) {
+  if (D.terms().size() != E.terms().size())
+    return false;
+  for (size_t I = 0; I < E.terms().size(); ++I)
+    if (D.terms()[I].Coeff * Sign != E.terms()[I].Coeff ||
+        D.terms()[I].A != E.terms()[I].A)
+      return false;
+  return true;
+}
+
+template <typename Fn>
+bool Conjunction::anyLinearMatch(const Expr &E, Fn Visit) const {
+  uint64_t H = E.hash(1, /*WithConstant=*/false);
+  auto It = std::lower_bound(Index.begin(), Index.end(), IndexEntry{H, 0});
+  for (; It != Index.end() && It->first == H; ++It) {
+    const Constraint &D = Cs[It->second >> 1];
+    int64_t Sign = (It->second & 1) ? -1 : 1;
+    if (sameLinearPart(D.E, Sign, E) && Visit(D, Sign))
+      return true;
+  }
+  return false;
 }
 
 void Conjunction::add(Constraint C) {
@@ -25,22 +43,21 @@ void Conjunction::add(Constraint C) {
     if (C.isEq() ? (C.E.constant() == 0) : (C.E.constant() >= 0))
       return;
   }
-  std::string Exact = (C.isEq() ? "=" : ">") + C.E.str();
-  if (!ExactKeys.insert(std::move(Exact)).second)
+  // Drop exact duplicates.
+  if (anyLinearMatch(C.E, [&](const Constraint &D, int64_t Sign) {
+        return Sign == 1 && D.K == C.K &&
+               D.E.constant() == C.E.constant();
+      }))
     return;
-  // Maintain the implication index.
-  std::string Key = linearKey(C.E);
-  LinInfo &Info = Index[Key];
-  int64_t K = C.E.constant();
-  if (C.isEq()) {
-    Info.EqConsts.insert(K);
-    // An equality also indexes its negated linear part.
-    LinInfo &Neg = Index[linearKey(-C.E)];
-    Neg.EqConsts.insert(-K);
-  } else if (!Info.HasGeq || K < Info.MinGeqConst) {
-    Info.HasGeq = true;
-    Info.MinGeqConst = K;
-  }
+  auto Insert = [&](uint64_t H, uint32_t Entry) {
+    IndexEntry E{H, Entry};
+    Index.insert(std::upper_bound(Index.begin(), Index.end(), E), E);
+  };
+  uint32_t CI = static_cast<uint32_t>(Cs.size());
+  Insert(C.E.hash(1, /*WithConstant=*/false), CI << 1);
+  // An equality also indexes its negated linear part.
+  if (C.isEq())
+    Insert(C.E.hash(-1, /*WithConstant=*/false), CI << 1 | 1);
   Cs.push_back(std::move(C));
 }
 
@@ -49,23 +66,16 @@ bool Conjunction::impliesSyntactically(const Constraint &C) const {
   if (C.E.isConstant())
     return C.isEq() ? (C.E.constant() == 0) : (C.E.constant() >= 0);
 
-  auto It = Index.find(linearKey(C.E));
-  if (It == Index.end())
-    return false;
-  const LinInfo &Info = It->second;
   int64_t K = C.E.constant();
-  if (C.isEq()) {
-    // Need lin + K == 0 forced: an equality lin + K == 0 must be present.
-    return Info.EqConsts.count(K) > 0;
-  }
-  // Geq: lin + K >= 0. Implied by lin + ch >= 0 with ch <= K, or by an
-  // equality lin + ce == 0 with ce <= K (then lin + K = K - ce >= 0).
-  if (Info.HasGeq && Info.MinGeqConst <= K)
-    return true;
-  for (int64_t Ce : Info.EqConsts)
-    if (Ce <= K)
-      return true;
-  return false;
+  return anyLinearMatch(C.E, [&](const Constraint &D, int64_t Sign) {
+    int64_t DK = D.E.constant() * Sign;
+    // Eq: lin + K == 0 is forced only by an equality lin + K == 0.
+    if (C.isEq())
+      return D.isEq() && DK == K;
+    // Geq: lin + K >= 0. Implied by lin + ch >= 0 with ch <= K, or by an
+    // equality lin + ce == 0 with ce <= K (then lin + K = K - ce >= 0).
+    return DK <= K;
+  });
 }
 
 Conjunction
@@ -80,9 +90,11 @@ std::vector<Atom> Conjunction::collectCalls() const {
   std::vector<Atom> Calls;
   for (const Constraint &C : Cs)
     C.E.collectCalls(Calls);
-  // Deduplicate structurally.
-  std::sort(Calls.begin(), Calls.end());
+  // Deduplicate by id, then order structurally.
+  auto ById = [](Atom L, Atom R) { return L.id() < R.id(); };
+  std::sort(Calls.begin(), Calls.end(), ById);
   Calls.erase(std::unique(Calls.begin(), Calls.end()), Calls.end());
+  std::sort(Calls.begin(), Calls.end());
   return Calls;
 }
 
@@ -133,7 +145,7 @@ unsigned SparseRelation::eliminateDeterminedExistentials() {
         // Look for a top-level term (+|-)1 * V.
         int64_t Coeff = 0;
         for (const Expr::Term &T : C.E.terms())
-          if (T.A.isVar() && T.A.Name == V)
+          if (T.A.isVar() && T.A.name() == V)
             Coeff = T.Coeff;
         if (Coeff != 1 && Coeff != -1)
           continue;

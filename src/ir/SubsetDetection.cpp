@@ -9,6 +9,7 @@
 #include "sds/ir/Flatten.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace sds {
 namespace ir {
@@ -25,7 +26,7 @@ eliminateDeterminedVars(SparseRelation &R, std::vector<std::string> Vars) {
           continue;
         int64_t Coeff = 0;
         for (const Expr::Term &T : C.E.terms())
-          if (T.A.isVar() && T.A.Name == V)
+          if (T.A.isVar() && T.A.name() == V)
             Coeff = T.Coeff;
         if (Coeff != 1 && Coeff != -1)
           continue;
@@ -63,17 +64,11 @@ constexpr unsigned kEmptinessBudget = 64;
 /// Lower a conjunction onto an existing column space. Atoms without a
 /// column must not occur (the caller builds the space from a superset).
 presburger::BasicSet lowerOnto(const Flattened &F, const Conjunction &C) {
-  unsigned Width = F.Set.numVars();
-  presburger::BasicSet Out(Width);
+  presburger::BasicSet Out(F.Set.numVars());
+  std::vector<int64_t> Row;
   for (const Constraint &Cons : C.constraints()) {
-    std::vector<int64_t> Row(Width + 1, 0);
-    Row[Width] = Cons.E.constant();
-    for (const Expr::Term &T : Cons.E.terms()) {
-      auto It = F.ColIndex.find(T.A.str());
-      if (It == F.ColIndex.end())
-        continue; // cannot happen when the space covers both conjunctions
-      Row[It->second] += T.Coeff;
-    }
+    [[maybe_unused]] bool Lowered = F.lowerRow(Cons.E, Row);
+    assert(Lowered && "the space covers both conjunctions");
     if (Cons.isEq())
       Out.addEquality(std::move(Row));
     else
@@ -131,7 +126,7 @@ presburger::Ternary subsumes(const SparseRelation &Kept,
     const Atom &A = F.Cols[Col];
     std::vector<std::string> Mentioned;
     if (A.isVar()) {
-      Mentioned.push_back(A.Name);
+      Mentioned.push_back(A.name());
     } else {
       Expr CallExpr(1, A);
       CallExpr.collectVars(Mentioned);

@@ -7,6 +7,7 @@
 #include "sds/serve/Serve.h"
 
 #include "sds/guard/Guarded.h"
+#include "sds/ir/Expr.h"
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
@@ -44,6 +45,10 @@ const char *outcomeName(Outcome O) {
 }
 
 namespace {
+
+/// Atoms the term table must still have room for before a cold fill
+/// starts; one kernel's analysis interns a few hundred.
+constexpr size_t kTermHeadroom = size_t(1) << 16;
 
 /// Singleflight rendezvous: the leader computes, followers block on Done.
 struct Inflight {
@@ -489,6 +494,17 @@ ServeResponse Server::serveCold(const ServeRequest &R, uint64_t AbsDeadlineNs,
 std::optional<ServeResponse> Server::resolveKernelCold(
     const ServeRequest &R, uint64_t AbsDeadlineNs,
     std::shared_ptr<const artifact::CompiledKernel> &CK, bool &FromStore) {
+  // Decoding and compiling intern new terms, and the process-wide term
+  // table aborts when full: refuse cold work well before that.
+  if (ir::Atom::internedCount() + kTermHeadroom > ir::Atom::kMaxInterned) {
+    ServeResponse Resp;
+    Resp.O = Outcome::Error;
+    Resp.St = support::resourceExhausted("interned term table nearly full (" +
+                                         std::to_string(
+                                             ir::Atom::internedCount()) +
+                                         " atoms)");
+    return Resp;
+  }
   if (I->Store) {
     std::string SKey = store::Store::keyFor(
         R.Kernel.Name, artifact::AnalysisOptions::of(I->Opts.Engine.Analysis),

@@ -26,9 +26,9 @@ TEST(Flatten, ColumnLayoutAndSharing) {
   Flattened F = flatten(R);
   // Columns: i, i', k', then calls col(k'), rowptr(i'), rowptr(i' + 1).
   ASSERT_EQ(F.Cols.size(), 6u);
-  EXPECT_EQ(F.Names[0], "i");
-  EXPECT_EQ(F.Names[1], "i'");
-  EXPECT_EQ(F.Names[2], "k'");
+  EXPECT_EQ(F.Cols[0].str(), "i");
+  EXPECT_EQ(F.Cols[1].str(), "i'");
+  EXPECT_EQ(F.Cols[2].str(), "k'");
   EXPECT_NE(F.columnOf(Atom::call("col", {Expr::var("k'")})),
             F.Set.numVars());
   // Syntactically equal calls share one column.
@@ -96,8 +96,8 @@ TEST(Flatten, VarOrderRespected) {
   Conjunction C;
   C.add(Constraint::lt(Expr::var("a"), Expr::var("b")));
   Flattened F = flatten(C, {"b", "a"});
-  EXPECT_EQ(F.Names[0], "b");
-  EXPECT_EQ(F.Names[1], "a");
+  EXPECT_EQ(F.Cols[0].str(), "b");
+  EXPECT_EQ(F.Cols[1].str(), "a");
   ASSERT_EQ(F.Set.inequalities().size(), 1u);
   // b - a - 1 >= 0 with b in column 0.
   EXPECT_EQ(F.Set.inequalities()[0],

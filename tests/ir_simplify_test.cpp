@@ -376,9 +376,9 @@ bool bruteForceSatisfiable(const SparseRelation &R, bool Monotonic,
     for (const Expr::Term &T : E.terms()) {
       int64_t A;
       if (T.A.isVar())
-        A = T.A.Name == "i" ? I : J;
+        A = T.A.name() == "i" ? I : J;
       else
-        A = F[static_cast<size_t>(Eval(T.A.Args[0]))];
+        A = F[static_cast<size_t>(Eval(T.A.args()[0]))];
       V += T.Coeff * A;
     }
     return V;

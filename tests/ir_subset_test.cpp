@@ -142,16 +142,16 @@ TEST(Subsumes, EdgeLevelSanityOnConcreteArrays) {
       for (const Expr::Term &T : E.terms()) {
         int64_t A = 0;
         if (T.A.isVar()) {
-          if (T.A.Name == "n") {
+          if (T.A.name() == "n") {
             A = N;
           } else {
             for (unsigned J = 0; J < NumVars; ++J)
-              if (Vars[J] == T.A.Name)
+              if (Vars[J] == T.A.name())
                 A = Vals[J];
           }
         } else {
-          int64_t Arg = Eval(T.A.Args[0]);
-          if (T.A.Name == "col")
+          int64_t Arg = Eval(T.A.args()[0]);
+          if (T.A.name() == "col")
             A = (Arg >= 0 && Arg <= N) ? ColPtr[Arg] : 999;
           else
             A = (Arg >= 0 && Arg < NNZ) ? RowIdx[Arg] : 999;
