@@ -81,6 +81,7 @@ int main(int argc, char **argv) {
   static obs::Counter &Phase2Checks = obs::counter("ir.phase2_checks");
   static obs::Counter &Phase2Skips = obs::counter("ir.phase2_witness_skips");
   static obs::Counter &CoreTrials = obs::counter("ir.core_trials");
+  static obs::Counter &Checks = obs::counter("basicset.emptiness_checks");
   const int Ladder[] = {1, 2, 4, 8};
   double SerialSeconds = 0;
   std::string SerialPrint;
@@ -122,6 +123,8 @@ int main(int argc, char **argv) {
     Report.set(P + "identical", static_cast<uint64_t>(Identical ? 1 : 0));
     Report.set(P + "cache_hits", QC.Hits);
     Report.set(P + "cache_misses", QC.Misses);
+    Report.set(P + "core_subsume", QC.CoreSubsumptionHits);
+    Report.set(P + "emptiness_checks", Checks.value());
     Report.set(P + "prefilter_gcd", PF.GcdRejects);
     Report.set(P + "prefilter_eq_conflict", PF.EqConflictRejects);
     Report.set(P + "prefilter_interval", PF.IntervalRejects);

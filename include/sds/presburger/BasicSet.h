@@ -231,14 +231,20 @@ PrefilterStats prefilterStats();
 // they are mathematical facts about the constraint system, so entries can
 // never go stale and no invalidation is required; Unknown verdicts are
 // recomputed because a different call could still resolve them. The cache
-// is bounded and thread-safe: it is split into independently-locked
-// shards selected by the key's hash, so concurrent queries from the
+// is bounded by bytes and thread-safe: it is split into independently-
+// locked shards selected by the key's hash, so concurrent queries from the
 // task-parallel analysis pipeline do not serialize on one mutex, and the
 // hits and misses are counted by sharded obs counters.
 
+/// The bytes the verdict cache and its core index may hold together: each
+/// entry's key, verdict and core payload (allocator overhead not counted).
+/// An entry that would pass the budget is dropped; nothing is evicted.
+constexpr uint64_t kQueryCacheBudgetBytes = uint64_t(256) << 20;
+
 /// The process-wide presburger query cache: Hits, Misses and
 /// CoreSubsumptionHits read the `basicset.cache_hits`, `cache_misses` and
-/// `cache_core_subsume` obs counters; Entries and CoreEntries are levels.
+/// `cache_core_subsume` obs counters; Entries, CoreEntries and Bytes are
+/// levels.
 struct QueryCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -250,6 +256,9 @@ struct QueryCacheStats {
   uint64_t CoreSubsumptionHits = 0;
   /// Distinct unsat cores currently held by the subsumption index.
   uint64_t CoreEntries = 0;
+  /// Bytes both levels hold, against kQueryCacheBudgetBytes (the
+  /// `presburger.query_cache.bytes` gauge).
+  uint64_t Bytes = 0;
 
   double hitRate() const {
     uint64_t Total = Hits + Misses;

@@ -10,15 +10,17 @@
 #include "sds/obs/Trace.h"
 #include "sds/presburger/Budget.h"
 #include "sds/presburger/Simplex.h"
+#include "sds/support/Hash.h"
 #include "sds/support/MathExtras.h"
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
-#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <set>
+#include <numeric>
 #include <unordered_map>
 
 namespace sds {
@@ -61,54 +63,90 @@ namespace {
 /// citing them refutes the original rows alone.
 constexpr uint32_t kBranchTag = ~0u;
 
-/// A BasicSet with one tag per row, tags riding along through
-/// normalization, deduplication, and branching so a Farkas certificate
-/// over the solved rows maps back to the caller's original row ids.
+/// A normalized BasicSet with one tag per row, tags riding along through
+/// deduplication and branching so a Farkas certificate over the solved
+/// rows maps back to the caller's original row ids. Rows are numbered
+/// equalities first, as in EmptinessCore.
 struct TaggedSet {
-  BasicSet S;
+  BasicSet S{0};
   std::vector<uint32_t> EqTags, IneqTags;
+  /// The normalized rows in content order: inequalities, then equalities,
+  /// each sorted lexicographically. The solver reads the rows in storage
+  /// order; the cache key, the core index and the conflicting-equality
+  /// rung read them in this order. Branch rows are not listed.
+  std::vector<uint32_t> Sorted;
 
-  explicit TaggedSet(BasicSet Set) : S(std::move(Set)) {
-    uint32_t Next = 0;
-    EqTags.resize(S.equalities().size());
-    for (auto &T : EqTags)
-      T = Next++;
-    IneqTags.resize(S.inequalities().size());
-    for (auto &T : IneqTags)
-      T = Next++;
+  bool isEq(size_t R) const { return R < EqTags.size(); }
+  const std::vector<int64_t> &row(size_t R) const {
+    return isEq(R) ? S.equalities()[R]
+                   : S.inequalities()[R - EqTags.size()];
+  }
+  uint32_t tag(size_t R) const {
+    return isEq(R) ? EqTags[R] : IneqTags[R - EqTags.size()];
   }
 };
+
+/// Sort `Rows` into `Order`, then drop every row equal to an earlier one,
+/// keeping the first occurrence (and its tag) in storage order.
+void sortAndDedup(std::vector<std::vector<int64_t>> &Rows,
+                  std::vector<uint32_t> &Tags, std::vector<uint32_t> &Order) {
+  auto Sort = [&] {
+    Order.resize(Rows.size());
+    std::iota(Order.begin(), Order.end(), 0u);
+    // Equal rows sort by index, so the first occurrence sorts first.
+    std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+      auto Cmp = Rows[A] <=> Rows[B];
+      return Cmp != 0 ? Cmp < 0 : A < B;
+    });
+  };
+  Sort();
+  std::vector<bool> Drop(Rows.size());
+  bool Any = false;
+  for (size_t I = 1; I < Order.size(); ++I)
+    if (Rows[Order[I]] == Rows[Order[I - 1]])
+      Drop[Order[I]] = Any = true;
+  if (!Any)
+    return;
+  size_t Kept = 0;
+  for (size_t I = 0; I < Rows.size(); ++I) {
+    if (Drop[I])
+      continue;
+    if (Kept != I)
+      Rows[Kept] = std::move(Rows[I]);
+    Tags[Kept++] = Tags[I];
+  }
+  Rows.resize(Kept);
+  Tags.resize(Kept);
+  Sort();
+}
 
 /// Normalization with tag bookkeeping (BasicSet::normalize drops the
 /// tags): GCD-reduce, tighten inequality constants toward -inf, drop
 /// trivially true rows, sign-canonicalize equalities, deduplicate keeping
-/// the first occurrence (and its tag). Returns false when a row alone is
-/// unsatisfiable, reporting that row's tag in `BadTag`; the set is then
-/// left unchanged.
-bool normalizeTagged(TaggedSet &T, uint32_t &BadTag) {
-  unsigned NumVars = T.S.numVars();
-  std::vector<std::vector<int64_t>> NewEqs, NewIneqs;
-  std::vector<uint32_t> NewEqTags, NewIneqTags;
-  std::set<std::vector<int64_t>> SeenEq, SeenIneq;
-
+/// the first occurrence (and its tag). `In`'s rows are tagged in storage
+/// order, equalities first. Returns false when a row alone is
+/// unsatisfiable, reporting that row's tag in `BadTag`; `T` is then
+/// unspecified.
+bool normalizeInto(const BasicSet &In, TaggedSet &T, uint32_t &BadTag) {
+  unsigned NumVars = In.numVars();
+  T.S = BasicSet(NumVars);
   auto &Eqs = EmptinessChecker::eqs(T.S);
-  for (size_t I = 0; I < Eqs.size(); ++I) {
-    auto &Row = Eqs[I];
+  auto &Ineqs = EmptinessChecker::ineqs(T.S);
+  uint32_t Tag = 0;
+  for (const auto &Row : In.equalities()) {
+    uint32_t RowTag = Tag++;
     int64_t G = variableGcd(Row, NumVars);
-    if (G == 0) {
-      if (Row[NumVars] != 0) {
-        BadTag = T.EqTags[I];
-        return false; // 0 == c, c != 0
-      }
+    // 0 == c with c != 0, or a gcd that misses the constant: no integer
+    // solution.
+    if (G == 0 ? Row[NumVars] != 0 : Row[NumVars] % G != 0) {
+      BadTag = RowTag;
+      return false;
+    }
+    if (G == 0)
       continue;
-    }
-    if (Row[NumVars] % G != 0) {
-      BadTag = T.EqTags[I];
-      return false; // no integer solution for this equality
-    }
-    std::vector<int64_t> R = Row;
-    for (auto &C : R)
-      C /= G;
+    std::vector<int64_t> R(Row.size());
+    for (size_t J = 0; J < R.size(); ++J)
+      R[J] = Row[J] / G;
     // Canonical sign: first nonzero variable coefficient positive.
     for (unsigned J = 0; J < NumVars; ++J) {
       if (R[J] == 0)
@@ -118,48 +156,44 @@ bool normalizeTagged(TaggedSet &T, uint32_t &BadTag) {
           C = -C;
       break;
     }
-    if (SeenEq.insert(R).second) {
-      NewEqs.push_back(std::move(R));
-      NewEqTags.push_back(T.EqTags[I]);
-    }
+    Eqs.push_back(std::move(R));
+    T.EqTags.push_back(RowTag);
   }
-
-  auto &Ineqs = EmptinessChecker::ineqs(T.S);
-  for (size_t I = 0; I < Ineqs.size(); ++I) {
-    auto &Row = Ineqs[I];
+  for (const auto &Row : In.inequalities()) {
+    uint32_t RowTag = Tag++;
     int64_t G = variableGcd(Row, NumVars);
-    if (G == 0) {
-      if (Row[NumVars] < 0) {
-        BadTag = T.IneqTags[I];
-        return false; // 0 >= -c with c > 0
-      }
+    if (G == 0 && Row[NumVars] < 0) {
+      BadTag = RowTag;
+      return false; // 0 >= -c with c > 0
+    }
+    if (G == 0)
       continue;
-    }
-    std::vector<int64_t> R = Row;
+    std::vector<int64_t> R(Row.size());
     for (unsigned J = 0; J < NumVars; ++J)
-      R[J] /= G;
+      R[J] = Row[J] / G;
     // Integer tightening: constant rounds toward -inf.
-    R[NumVars] = floorDiv64(R[NumVars], G);
-    if (SeenIneq.insert(R).second) {
-      NewIneqs.push_back(std::move(R));
-      NewIneqTags.push_back(T.IneqTags[I]);
-    }
+    R[NumVars] = floorDiv64(Row[NumVars], G);
+    Ineqs.push_back(std::move(R));
+    T.IneqTags.push_back(RowTag);
   }
-
-  EmptinessChecker::eqs(T.S) = std::move(NewEqs);
-  EmptinessChecker::ineqs(T.S) = std::move(NewIneqs);
-  T.EqTags = std::move(NewEqTags);
-  T.IneqTags = std::move(NewIneqTags);
+  std::vector<uint32_t> EqOrder;
+  sortAndDedup(Eqs, T.EqTags, EqOrder);
+  sortAndDedup(Ineqs, T.IneqTags, T.Sorted);
+  for (uint32_t &R : T.Sorted)
+    R += static_cast<uint32_t>(Eqs.size());
+  T.Sorted.insert(T.Sorted.end(), EqOrder.begin(), EqOrder.end());
   return true;
 }
 
-/// Merge a child node's core tags into the parent's accumulator, skipping
-/// branch rows.
-void mergeCoreTags(std::vector<uint32_t> &Into,
-                   const std::vector<uint32_t> &From) {
-  for (uint32_t Tag : From)
-    if (Tag != kBranchTag)
-      Into.push_back(Tag);
+/// Add a branch-and-bound split row to a normalized set, keeping it
+/// normalized: the row has a unit coefficient, so normalizing it changes
+/// nothing, and it is dropped when an equal inequality is already there.
+void addBranchRow(TaggedSet &T, std::vector<int64_t> Row) {
+  for (const auto &R : T.S.inequalities())
+    if (R == Row)
+      return;
+  EmptinessChecker::ineqs(T.S).push_back(std::move(Row));
+  T.IneqTags.push_back(kBranchTag);
 }
 
 void sortUniqueTags(std::vector<uint32_t> &Tags) {
@@ -173,13 +207,14 @@ class EmptinessCheckerImpl {
 public:
   explicit EmptinessCheckerImpl(unsigned NodeBudget) : Budget(NodeBudget) {}
 
-  /// Returns the emptiness verdict; on False (non-empty), `Point` holds an
-  /// integer point. On True with `CoreTags` non-null, `CoreTags` receives
-  /// the tags of the rows the proof cited (branch rows stripped) and
-  /// `CoreValid` stays true iff every node produced an attributable
-  /// certificate; when a node could not attribute (overflow inside the
-  /// Farkas read-out), the node conservatively cites all of its rows.
-  Ternary run(TaggedSet T, std::vector<int64_t> &Point,
+  /// Returns the emptiness verdict of the normalized set `T`; on False
+  /// (non-empty), `Point` holds an integer point. On True with `CoreTags`
+  /// non-null, `CoreTags` receives the tags of the rows the proof cited
+  /// (branch rows stripped); when a node could not attribute (overflow
+  /// inside the Farkas read-out), the node conservatively cites all of its
+  /// rows. The search branches in place: on return `T` holds its own rows
+  /// followed by branch rows, so callers can still read the original rows.
+  Ternary run(TaggedSet &T, std::vector<int64_t> &Point,
               std::vector<uint32_t> *CoreTags) {
     static obs::Counter &Nodes = obs::counter("basicset.bnb_nodes");
     Nodes.add();
@@ -189,14 +224,7 @@ public:
       noteDeadlineExhaustion();
       return Ternary::Unknown;
     }
-    uint32_t BadTag = kBranchTag;
-    if (!normalizeTagged(T, BadTag)) {
-      if (CoreTags && BadTag != kBranchTag)
-        CoreTags->push_back(BadTag);
-      return Ternary::True;
-    }
-    BasicSet &S = T.S;
-
+    const BasicSet &S = T.S;
     Simplex Sx(S.numVars());
     for (const auto &R : S.equalities())
       Sx.addEquality(R);
@@ -205,20 +233,12 @@ public:
     LPStatus St = Sx.checkFeasible();
     if (St == LPStatus::Infeasible) {
       if (CoreTags) {
-        size_t NumEq = S.equalities().size();
+        // An unattributable certificate (overflow) cites every row.
         const std::vector<unsigned> &C = Sx.infeasibleCore();
-        if (C.empty()) {
-          // Unattributable certificate (overflow): cite everything.
-          mergeCoreTags(*CoreTags, T.EqTags);
-          mergeCoreTags(*CoreTags, T.IneqTags);
-        } else {
-          for (unsigned RI : C) {
-            uint32_t Tag = RI < NumEq ? T.EqTags[RI]
-                                      : T.IneqTags[RI - NumEq];
-            if (Tag != kBranchTag)
-              CoreTags->push_back(Tag);
-          }
-        }
+        size_t NumCited = C.empty() ? S.numConstraints() : C.size();
+        for (size_t I = 0; I < NumCited; ++I)
+          if (uint32_t Tag = T.tag(C.empty() ? I : C[I]); Tag != kBranchTag)
+            CoreTags->push_back(Tag);
       }
       return Ternary::True;
     }
@@ -260,8 +280,7 @@ public:
       std::vector<int64_t> Row(S.numVars() + 1, 0);
       Row[FracVar] = -1;
       Row[S.numVars()] = F;
-      Left.S.addInequality(std::move(Row));
-      Left.IneqTags.push_back(kBranchTag);
+      addBranchRow(Left, std::move(Row));
     }
     // Right branch (x >= floor(v) + 1) reuses T itself: the left branch
     // already holds its own copy, so the node needs one clone, not two.
@@ -269,18 +288,17 @@ public:
       std::vector<int64_t> Row(S.numVars() + 1, 0);
       Row[FracVar] = 1;
       Row[S.numVars()] = -(F + 1);
-      T.S.addInequality(std::move(Row));
-      T.IneqTags.push_back(kBranchTag);
+      addBranchRow(T, std::move(Row));
     }
 
     // The split covers all integers, so when both branches refute, the
     // union of the original rows they cite is itself an unsat core: any
     // point of that union satisfies one branch literal and would land in
     // the corresponding (refuted) subtree.
-    Ternary A = run(std::move(Left), Point, CoreTags);
+    Ternary A = run(Left, Point, CoreTags);
     if (A == Ternary::False)
       return Ternary::False;
-    Ternary B = run(std::move(T), Point, CoreTags);
+    Ternary B = run(T, Point, CoreTags);
     if (B == Ternary::False)
       return Ternary::False;
     if (A == Ternary::True && B == Ternary::True)
@@ -296,34 +314,94 @@ private:
 // Query memoization
 //===----------------------------------------------------------------------===//
 
+/// Hash of one normalized row and its kind: the currency of the core
+/// index, always confirmed by an exact compare of the row.
+uint64_t rowHash(bool IsEq, const int64_t *Row, size_t Width) {
+  return support::xxh64(Row, Width * sizeof(int64_t), IsEq ? 1 : 2);
+}
+
+/// A normalized query's row hashes, per row (equalities-first numbering)
+/// and as (hash, row) pairs sorted by hash.
+struct RowHashes {
+  std::vector<uint64_t> Of;
+  std::vector<std::pair<uint64_t, uint32_t>> Sorted;
+
+  explicit RowHashes(const TaggedSet &T) {
+    for (uint32_t R = 0; R < T.EqTags.size() + T.IneqTags.size(); ++R) {
+      Of.push_back(rowHash(T.isEq(R), T.row(R).data(), T.row(R).size()));
+      Sorted.emplace_back(Of.back(), R);
+    }
+    std::sort(Sorted.begin(), Sorted.end());
+  }
+};
+
 /// The row content of a proven unsat core, stored in the normalized form
-/// the cache keys on (so it can be matched back against any query whose
-/// canonical rows contain it). Shared immutably between the exact-key
-/// cache and the subsumption index.
+/// queries are keyed on: inequalities, then equalities, each in
+/// lexicographic order, so row 0 is the smallest row and the core index's
+/// anchor. Shared immutably between the verdict cache and the core index.
 struct CachedCore {
-  /// (IsEq, normalized row) pairs, sorted.
-  std::vector<std::pair<bool, std::vector<int64_t>>> Rows;
+  size_t Width = 0;             ///< NumVars + 1
+  size_t NumIneq = 0;           ///< rows [0, NumIneq) are inequalities
+  std::vector<int64_t> Coeffs;  ///< Width entries per row
+  std::vector<uint64_t> Hashes; ///< rowHash of each row
+
+  /// The rows of `T` (cited by `Cited`, a sorted tag list) in core order.
+  CachedCore(const TaggedSet &T, const RowHashes &H,
+             const std::vector<uint32_t> &Cited)
+      : Width(T.S.numVars() + 1) {
+    // One row per cited tag; reserved exactly, as the core is kept.
+    Coeffs.reserve(Cited.size() * Width);
+    Hashes.reserve(Cited.size());
+    for (uint32_t R : T.Sorted) {
+      if (!std::binary_search(Cited.begin(), Cited.end(), T.tag(R)))
+        continue;
+      NumIneq += !T.isEq(R);
+      Coeffs.insert(Coeffs.end(), T.row(R).begin(), T.row(R).end());
+      Hashes.push_back(H.Of[R]);
+    }
+  }
+  size_t numRows() const { return Hashes.size(); }
+  bool isEq(size_t R) const { return R >= NumIneq; }
+  const int64_t *row(size_t R) const { return Coeffs.data() + R * Width; }
+  size_t bytes() const {
+    return sizeof(*this) + (Coeffs.size() + Hashes.size()) * sizeof(int64_t);
+  }
+  bool operator==(const CachedCore &O) const {
+    return Width == O.Width && NumIneq == O.NumIneq && Coeffs == O.Coeffs;
+  }
 };
 
-/// What the exact-key cache stores: the verdict plus, for True emptiness
-/// verdicts, the proof's core rows (null for subset entries and for
-/// verdicts whose proof predates core support).
-struct CacheValue {
-  Ternary V = Ternary::Unknown;
-  std::shared_ptr<const CachedCore> Core;
-};
+/// Does `T` have a row equal to core row `CR` (same kind, same content)?
+/// Looked up by hash in `H`; the matching row's number goes to `R`.
+bool findRow(const TaggedSet &T, const RowHashes &H, const CachedCore &Core,
+             size_t CR, uint32_t &R) {
+  auto It = std::lower_bound(H.Sorted.begin(), H.Sorted.end(),
+                             std::make_pair(Core.Hashes[CR], uint32_t(0)));
+  for (; It != H.Sorted.end() && It->first == Core.Hashes[CR]; ++It) {
+    const std::vector<int64_t> &Row = T.row(It->second);
+    if (T.isEq(It->second) == Core.isEq(CR) && Row.size() == Core.Width &&
+        std::equal(Row.begin(), Row.end(), Core.row(CR))) {
+      R = It->second;
+      return true;
+    }
+  }
+  return false;
+}
 
-/// Canonical bytes of one (IsEq, row) pair — the currency of the
-/// subsumption index.
-std::string rowKeyBytes(bool IsEq, const std::vector<int64_t> &Row) {
-  std::string Out;
-  Out.reserve((Row.size() + 1) * 8);
-  Out.push_back(IsEq ? 1 : 2);
-  for (int64_t V : Row)
-    for (int B = 0; B < 8; ++B)
-      Out.push_back(
-          static_cast<char>((static_cast<uint64_t>(V) >> (8 * B)) & 0xff));
-  return Out;
+/// Map a content core back onto a query's rows: when every core row
+/// matches one of the query's normalized rows, `Out` receives their tags.
+void mapCore(const TaggedSet &T, const RowHashes &H, const CachedCore &Core,
+             EmptinessCore &Out) {
+  std::vector<uint32_t> Tags;
+  for (size_t CR = 0; CR < Core.numRows(); ++CR) {
+    uint32_t R;
+    if (!findRow(T, H, Core, CR, R))
+      return;
+    Tags.push_back(T.tag(R));
+  }
+  sortUniqueTags(Tags);
+  Out.Rows = std::move(Tags);
+  Out.Valid = true;
 }
 
 /// The verdict-cache and prefilter-ladder tallies, one always-on
@@ -355,9 +433,66 @@ Tallies &tallies() {
   return T;
 }
 
+/// The bytes both cache levels hold. An entry is charged its key, verdict
+/// and core payload when it is stored; one that would pass
+/// kQueryCacheBudgetBytes is dropped, and nothing is ever evicted for it.
+std::atomic<uint64_t> CacheBytes{0};
+
+bool chargeCacheBytes(size_t N) {
+  uint64_t Cur = CacheBytes.load(std::memory_order_relaxed);
+  do {
+    if (Cur + N > kQueryCacheBudgetBytes)
+      return false;
+  } while (!CacheBytes.compare_exchange_weak(Cur, Cur + N,
+                                             std::memory_order_relaxed));
+  return true;
+}
+
+/// A query in canonical form: its kind, node budget and dimension, then
+/// for each normalized system its equality and inequality counts and its
+/// rows in content order (TaggedSet::Sorted). The hash is computed once;
+/// equality is an exact compare of the whole key.
+struct QueryKey {
+  std::vector<int64_t> Words;
+  uint64_t Hash = 0;
+
+  QueryKey(char Kind, unsigned NodeBudget, const TaggedSet &T,
+           const TaggedSet *T2 = nullptr) {
+    // Reserved exactly: a stored key keeps its capacity.
+    auto Size = [](const TaggedSet &X) {
+      return 2 + X.Sorted.size() * (X.S.numVars() + 1);
+    };
+    Words.reserve(3 + Size(T) + (T2 ? Size(*T2) : 0));
+    Words = {Kind, NodeBudget, T.S.numVars()};
+    for (const TaggedSet *X : {&T, T2}) {
+      if (!X)
+        continue;
+      Words.push_back(static_cast<int64_t>(X->EqTags.size()));
+      Words.push_back(static_cast<int64_t>(X->IneqTags.size()));
+      for (uint32_t R : X->Sorted)
+        Words.insert(Words.end(), X->row(R).begin(), X->row(R).end());
+    }
+    Hash = support::xxh64(Words.data(), Words.size() * sizeof(int64_t), 0);
+  }
+  bool operator==(const QueryKey &O) const {
+    return Hash == O.Hash && Words == O.Words;
+  }
+  struct Hasher {
+    size_t operator()(const QueryKey &K) const { return K.Hash; }
+  };
+};
+
+/// What the exact-key cache stores: the verdict plus, for True emptiness
+/// verdicts, the proof's core rows (null for subset entries and for
+/// verdicts whose core could not be attributed or indexed).
+struct CacheValue {
+  Ternary V = Ternary::Unknown;
+  std::shared_ptr<const CachedCore> Core;
+};
+
 /// Process-wide canonical-system -> verdict cache. Definitive verdicts are
 /// mathematical facts about the (budget, constraint-system) pair, so there
-/// is no invalidation; each shard's map is simply bounded.
+/// is no invalidation; the map is bounded by the shared byte budget.
 ///
 /// The map is split into independently-locked shards selected by the
 /// key's hash so concurrent queries from the task-parallel pipeline do
@@ -366,22 +501,21 @@ Tallies &tallies() {
 struct QueryCache {
   static constexpr size_t ShardBits = 4;
   static constexpr size_t NumShards = size_t(1) << ShardBits;
-  static constexpr size_t MaxEntriesPerShard = (size_t(1) << 20) >> ShardBits;
 
   struct alignas(64) Shard {
     std::mutex M;
-    std::unordered_map<std::string, CacheValue> Map;
+    std::unordered_map<QueryKey, CacheValue, QueryKey::Hasher> Map;
   };
   std::array<Shard, NumShards> Shards;
 
-  Shard &shardFor(const std::string &Key) {
-    return Shards[std::hash<std::string>{}(Key) & (NumShards - 1)];
+  Shard &shardFor(const QueryKey &Key) {
+    return Shards[Key.Hash >> (64 - ShardBits)];
   }
 
   /// Raw map probe; counts nothing. Callers decide whether a miss is
   /// final (CacheMisses) or rescued by the subsumption index (CacheHits +
   /// CoreSubsume).
-  std::optional<CacheValue> lookupRaw(const std::string &Key) {
+  std::optional<CacheValue> lookupRaw(const QueryKey &Key) {
     Shard &S = shardFor(Key);
     std::lock_guard<std::mutex> Lock(S.M);
     auto It = S.Map.find(Key);
@@ -390,14 +524,18 @@ struct QueryCache {
     return std::nullopt;
   }
 
-  void store(const std::string &Key, Ternary V,
+  /// Store a definitive verdict, charging its key and value; `Core` is
+  /// owned by the core index, which charged it.
+  void store(QueryKey Key, Ternary V,
              std::shared_ptr<const CachedCore> Core = nullptr) {
     if (V == Ternary::Unknown)
       return; // budget-dependent; another query may still resolve it
     Shard &S = shardFor(Key);
     std::lock_guard<std::mutex> Lock(S.M);
-    if (S.Map.size() < MaxEntriesPerShard)
-      S.Map.emplace(Key, CacheValue{V, std::move(Core)});
+    if (!S.Map.count(Key) &&
+        chargeCacheBytes(sizeof(QueryKey) + sizeof(CacheValue) +
+                         Key.Words.size() * sizeof(int64_t)))
+      S.Map.emplace(std::move(Key), CacheValue{V, std::move(Core)});
   }
 };
 
@@ -410,57 +548,54 @@ QueryCache &queryCache() {
 /// whose canonical row set is a *superset* of any stored core is empty a
 /// fortiori — more constraints can only shrink the point set — so it can
 /// be answered True without touching the solver, independent of node
-/// budget. Cores are anchored by their lexicographically smallest row:
+/// budget. Cores are anchored by the hash of their smallest row (row 0):
 /// since core rows are a subset of any subsuming query's rows, scanning
 /// the query's own rows as anchors finds every candidate.
 struct CoreIndex {
-  static constexpr size_t MaxEntries = size_t(1) << 16;
-
   std::mutex M;
-  std::unordered_map<std::string,
-                     std::vector<std::shared_ptr<const CachedCore>>>
+  std::unordered_map<uint64_t, std::vector<std::shared_ptr<const CachedCore>>>
       ByAnchor;
   size_t Entries = 0;
 
-  void insert(const std::shared_ptr<const CachedCore> &Core) {
-    if (!Core || Core->Rows.empty())
-      return;
-    std::string Anchor =
-        rowKeyBytes(Core->Rows.front().first, Core->Rows.front().second);
+  /// Index `Core` unless an equal core is already indexed. Returns the
+  /// indexed core (the earlier one on a duplicate), `Core` itself when it
+  /// has no row to anchor on, and null when the byte budget has no room.
+  std::shared_ptr<const CachedCore>
+  insert(std::shared_ptr<const CachedCore> Core) {
+    if (Core->numRows() == 0)
+      return Core;
     std::lock_guard<std::mutex> Lock(M);
-    if (Entries >= MaxEntries)
-      return;
-    auto &Bucket = ByAnchor[Anchor];
+    auto &Bucket = ByAnchor[Core->Hashes[0]];
     for (const auto &Existing : Bucket)
-      if (Existing->Rows == Core->Rows)
-        return;
+      if (*Existing == *Core)
+        return Existing;
+    if (!chargeCacheBytes(Core->bytes() + sizeof(Core)))
+      return nullptr;
     Bucket.push_back(Core);
     ++Entries;
+    return Core;
   }
 
-  /// All integer points of `N` (normalized) satisfy every row of some
-  /// stored core? Then N is empty; return that core.
-  std::shared_ptr<const CachedCore> subsuming(const BasicSet &N) {
-    std::set<std::pair<bool, std::vector<int64_t>>> QueryRows;
-    for (const auto &R : N.equalities())
-      QueryRows.emplace(true, R);
-    for (const auto &R : N.inequalities())
-      QueryRows.emplace(false, R);
+  /// A stored core all of whose rows are rows of the normalized query `T`
+  /// (so T is empty), or null. Anchors are visited in content order
+  /// (inequalities first), and each anchor's cores in insertion order; the
+  /// first core found is returned.
+  std::shared_ptr<const CachedCore> subsuming(const TaggedSet &T,
+                                              const RowHashes &H) {
     std::lock_guard<std::mutex> Lock(M);
     if (Entries == 0)
       return nullptr;
-    for (const auto &Row : QueryRows) {
-      auto It = ByAnchor.find(rowKeyBytes(Row.first, Row.second));
+    for (uint32_t R : T.Sorted) {
+      auto It = ByAnchor.find(H.Of[R]);
       if (It == ByAnchor.end())
         continue;
       for (const auto &Core : It->second) {
-        bool AllPresent = true;
-        for (const auto &CR : Core->Rows)
-          if (!QueryRows.count(CR)) {
-            AllPresent = false;
-            break;
-          }
-        if (AllPresent)
+        uint32_t Match;
+        size_t CR = 0;
+        while (CR < Core->numRows() && findRow(T, H, *Core, CR, Match) &&
+               (CR > 0 || Match == R))
+          ++CR;
+        if (CR == Core->numRows())
           return Core;
       }
     }
@@ -498,45 +633,15 @@ CoreIndex &coreIndex() {
   obs::registerGaugeSource("presburger.query_cache.core_entries", [] {
     return static_cast<double>(queryCacheStats().CoreEntries);
   });
+  obs::registerGaugeSource("presburger.query_cache.bytes", [] {
+    return static_cast<double>(queryCacheStats().Bytes);
+  });
   return true;
 }();
 
 //===----------------------------------------------------------------------===//
 // Prefilter ladder
 //===----------------------------------------------------------------------===//
-
-/// Two equalities with an identical variable part but different constants
-/// are contradictory. normalize() GCD-reduces rows and canonicalizes the
-/// sign of each equality's leading coefficient, so identical variable
-/// parts compare bitwise-equal here.
-bool hasConflictingEqualities(const BasicSet &N,
-                              std::pair<size_t, size_t> *Pair = nullptr) {
-  const auto &Eqs = N.equalities();
-  if (Eqs.size() < 2)
-    return false;
-  unsigned NumVars = N.numVars();
-  std::vector<size_t> Sorted;
-  Sorted.reserve(Eqs.size());
-  for (size_t I = 0; I < Eqs.size(); ++I)
-    Sorted.push_back(I);
-  auto VarPartLess = [&](size_t A, size_t B) {
-    return std::lexicographical_compare(Eqs[A].begin(),
-                                        Eqs[A].begin() + NumVars,
-                                        Eqs[B].begin(),
-                                        Eqs[B].begin() + NumVars);
-  };
-  std::sort(Sorted.begin(), Sorted.end(), VarPartLess);
-  for (size_t I = 1; I < Sorted.size(); ++I) {
-    const auto &A = Eqs[Sorted[I - 1]], &B = Eqs[Sorted[I]];
-    if (std::equal(A.begin(), A.begin() + NumVars, B.begin()) &&
-        A[NumVars] != B[NumVars]) {
-      if (Pair)
-        *Pair = {Sorted[I - 1], Sorted[I]};
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Bounded single-variable interval propagation with conflict detection.
 /// Derives [lo, hi] bounds per variable from rows whose other terms are
@@ -545,6 +650,12 @@ bool hasConflictingEqualities(const BasicSet &N,
 /// consequence of the constraint system over the integers; `true` means
 /// proven empty. All arithmetic is overflow-checked 128-bit; anything
 /// that overflows is treated as unbounded.
+///
+/// A row costs O(nonzeros): each term's maximum is read once, and the
+/// maximum of the other terms is the row's sum less the term. A row with
+/// a term large enough that a partial sum might overflow instead sums the
+/// other terms one by one in column order, so exactly the partial sums of a
+/// term-by-term loop overflow and every deduction is that loop's.
 bool intervalConflict(const BasicSet &N) {
   unsigned NumVars = N.numVars();
   struct Bound {
@@ -553,65 +664,88 @@ bool intervalConflict(const BasicSet &N) {
   };
   std::vector<Bound> B(NumVars);
 
-  // One scan target per inequality, plus both directions of equalities.
+  // One scan target per inequality, plus both directions of equalities,
+  // each with its nonzero columns Cols[Begin, End).
   struct RowRef {
     const std::vector<int64_t> *Row;
     bool Negate;
+    uint32_t Begin, End;
   };
   std::vector<RowRef> Rows;
-  Rows.reserve(N.inequalities().size() + 2 * N.equalities().size());
+  std::vector<uint32_t> Cols;
+  auto AddRow = [&](const std::vector<int64_t> &R, bool Negate) {
+    uint32_t Begin = static_cast<uint32_t>(Cols.size());
+    for (unsigned J = 0; J < NumVars; ++J)
+      if (R[J] != 0)
+        Cols.push_back(J);
+    Rows.push_back({&R, Negate, Begin, static_cast<uint32_t>(Cols.size())});
+  };
   for (const auto &R : N.inequalities())
-    Rows.push_back({&R, false});
+    AddRow(R, false);
   for (const auto &R : N.equalities()) {
-    Rows.push_back({&R, false});
-    Rows.push_back({&R, true});
+    AddRow(R, false);
+    AddRow(R, true);
   }
 
-  auto Coeff = [&](const RowRef &RR, unsigned J) {
-    int64_t C = (*RR.Row)[J];
-    return RR.Negate ? -C : C;
-  };
-
-  // max over the interval of a*x, as a checked 128-bit value; false when
-  // unbounded (missing bound) or overflowing.
-  auto MaxTerm = [&](int64_t A, const Bound &Bd, Int128 &Out) {
-    if (A > 0) {
-      if (!Bd.HasHi)
-        return false;
-      return !mulOverflow128(Int128(A), Bd.Hi, Out);
-    }
-    if (!Bd.HasLo)
-      return false;
-    return !mulOverflow128(Int128(A), Bd.Lo, Out);
-  };
-
+  // Below this magnitude no sum of a constant and NumVars terms overflows.
+  const Int128 SmallTerm = Int128(1) << 100;
+  std::vector<Int128> Term(NumVars);
+  std::vector<char> HasTerm(NumVars);
   const unsigned MaxRounds = 4;
   for (unsigned Round = 0; Round < MaxRounds; ++Round) {
     bool Changed = false;
     for (const RowRef &RR : Rows) {
       // Row means sum_j a_j x_j + c >= 0 (after optional negation).
-      Int128 C = Coeff(RR, NumVars);
-      // Try to tighten each variable with a nonzero coefficient, using the
-      // maximum the *other* terms can contribute.
-      for (unsigned J = 0; J < NumVars; ++J) {
-        int64_t AJ = Coeff(RR, J);
-        if (AJ == 0)
-          continue;
-        Int128 MaxRest = C;
-        bool RestBounded = true;
-        for (unsigned K = 0; K < NumVars && RestBounded; ++K) {
-          if (K == J)
-            continue;
-          int64_t AK = Coeff(RR, K);
-          if (AK == 0)
-            continue;
-          Int128 T;
-          RestBounded = MaxTerm(AK, B[K], T) &&
-                        !addOverflow128(MaxRest, T, MaxRest);
+      auto Coeff = [&](unsigned J) {
+        return RR.Negate ? -(*RR.Row)[J] : (*RR.Row)[J];
+      };
+      Int128 C = Coeff(NumVars);
+      // Each term's maximum over the intervals, or none when a bound is
+      // missing or the product overflows. Tightening x_j from this row
+      // moves the bound the maximum of a_j*x_j does not read (a_j > 0
+      // raises lo, the maximum reads hi), so the maxima hold for the row.
+      unsigned Unbounded = 0;
+      bool Small = NumVars < (1u << 26);
+      Int128 Sum = C;
+      for (uint32_t P = RR.Begin; P < RR.End; ++P) {
+        unsigned J = Cols[P];
+        int64_t A = Coeff(J);
+        const Bound &Bd = B[J];
+        HasTerm[J] = (A > 0 ? Bd.HasHi : Bd.HasLo) &&
+                     !mulOverflow128(Int128(A), A > 0 ? Bd.Hi : Bd.Lo,
+                                     Term[J]);
+        if (!HasTerm[J])
+          ++Unbounded;
+        else if (Term[J] >= SmallTerm || Term[J] <= -SmallTerm)
+          Small = false;
+        else
+          Sum += Term[J];
+      }
+      // The maximum of c plus every term but column Skip's (NumVars: all
+      // terms); false when a term is unbounded or a partial sum overflows.
+      auto MaxWithout = [&](unsigned Skip, Int128 &Out) {
+        bool SkipUnbounded = Skip < NumVars && !HasTerm[Skip];
+        if (Small) {
+          Out = Skip < NumVars && HasTerm[Skip] ? Sum - Term[Skip] : Sum;
+          return Unbounded == (SkipUnbounded ? 1u : 0u);
         }
-        if (!RestBounded)
+        Out = C;
+        for (uint32_t P = RR.Begin; P < RR.End; ++P) {
+          unsigned K = Cols[P];
+          if (K != Skip &&
+              (!HasTerm[K] || addOverflow128(Out, Term[K], Out)))
+            return false;
+        }
+        return true;
+      };
+      // Tighten each variable of the row by the maximum of the others:
+      // a_j * x_j >= -MaxRest.
+      for (uint32_t P = RR.Begin; P < RR.End; ++P) {
+        unsigned J = Cols[P];
+        int64_t AJ = Coeff(J);
+        Int128 MaxRest;
+        if (!MaxWithout(J, MaxRest))
           continue;
-        // a_j * x_j >= -MaxRest.
         Bound &Bd = B[J];
         if (AJ > 0) {
           Int128 Lo = ceilDiv128(-MaxRest, AJ);
@@ -633,17 +767,8 @@ bool intervalConflict(const BasicSet &N) {
       }
       // Whole-row reachability: if every term is bounded above and the row
       // maximum is still negative, the constraint is unsatisfiable.
-      Int128 RowMax = C;
-      bool AllBounded = true;
-      for (unsigned J = 0; J < NumVars && AllBounded; ++J) {
-        int64_t AJ = Coeff(RR, J);
-        if (AJ == 0)
-          continue;
-        Int128 T;
-        AllBounded = MaxTerm(AJ, B[J], T) &&
-                     !addOverflow128(RowMax, T, RowMax);
-      }
-      if (AllBounded && RowMax < 0)
+      Int128 RowMax;
+      if (MaxWithout(NumVars, RowMax) && RowMax < 0)
         return true;
     }
     if (!Changed)
@@ -652,68 +777,48 @@ bool intervalConflict(const BasicSet &N) {
   return false;
 }
 
-/// Which rows a prefilter reject cited, in N's (normalized) row-index
-/// space. Interval propagation derives bounds through arbitrarily many
-/// rows, so it cannot attribute and cites everything.
-struct PrefilterCore {
-  std::vector<size_t> EqRows; ///< conflicting equality indices
-  bool AllRows = false;       ///< unattributable: cite the whole system
-};
-
 /// The emptiness prefilter ladder over an already-normalized set. Counts
 /// each rung's hits; does NOT count misses (callers decide whether a miss
-/// proceeds to the full solver).
-Ternary prefilterNormalized(const BasicSet &N, PrefilterCore *Core = nullptr) {
-  std::pair<size_t, size_t> Conflict;
-  if (hasConflictingEqualities(N, &Conflict)) {
+/// proceeds to the full solver). A conflicting-equality reject reports
+/// its two equalities in `EqPair`; interval propagation derives bounds
+/// through arbitrarily many rows, so its rejects cite the whole system.
+Ternary prefilterNormalized(const TaggedSet &T,
+                            std::vector<size_t> *EqPair = nullptr) {
+  // Two equalities with an identical variable part but different constants
+  // are contradictory. Normalized equalities are GCD-reduced and
+  // sign-canonical, so equal variable parts are equal prefixes, adjacent
+  // in content order, and (rows being deduplicated) differ in constant.
+  const std::vector<uint32_t> &Rs = T.Sorted;
+  for (size_t I = Rs.size() - T.EqTags.size() + 1; I < Rs.size(); ++I) {
+    const auto &A = T.row(Rs[I - 1]), &B = T.row(Rs[I]);
+    if (!std::equal(A.begin(), A.end() - 1, B.begin()))
+      continue;
     tallies().EqConflict.add();
-    if (Core)
-      Core->EqRows = {Conflict.first, Conflict.second};
+    if (EqPair)
+      *EqPair = {Rs[I - 1], Rs[I]};
     return Ternary::True;
   }
-  if (intervalConflict(N)) {
+  if (intervalConflict(T.S)) {
     tallies().Interval.add();
-    if (Core)
-      Core->AllRows = true;
     return Ternary::True;
   }
   return Ternary::Unknown;
 }
 
-void appendInt(std::string &Out, int64_t V) {
-  for (int B = 0; B < 8; ++B)
-    Out.push_back(static_cast<char>((static_cast<uint64_t>(V) >> (8 * B)) &
-                                    0xff));
-}
-
-/// Canonical byte string of one *already-normalized* set: rows in sorted
-/// order. Two syntactically different but normalize-identical systems
-/// share a key; semantically equal systems with different normal forms
-/// simply miss (the cache stays sound either way). Callers normalize once
-/// and reuse the result for the prefilters, the key, and the solve.
-void appendCanonicalNormalized(std::string &Out, const BasicSet &N) {
-  appendInt(Out, static_cast<int64_t>(N.numVars()));
-  appendInt(Out, 1); // feasible-after-normalize marker (key-format compat)
-  auto Rows = [&Out](std::vector<std::vector<int64_t>> Rs, int64_t Tag) {
-    std::sort(Rs.begin(), Rs.end());
-    appendInt(Out, Tag);
-    appendInt(Out, static_cast<int64_t>(Rs.size()));
-    for (const auto &R : Rs)
-      for (int64_t V : R)
-        appendInt(Out, V);
-  };
-  Rows(N.equalities(), /*Tag=*/1);
-  Rows(N.inequalities(), /*Tag=*/2);
+void recordCoreSize(size_t N) {
+  static obs::Histogram &H = obs::histogram("presburger.core_size");
+  H.record(static_cast<uint64_t>(N));
 }
 
 } // namespace
 
 bool BasicSet::normalize() {
-  TaggedSet T(std::move(*this));
+  TaggedSet T;
   uint32_t BadTag;
-  bool Ok = normalizeTagged(T, BadTag);
-  *this = std::move(T.S); // unchanged when !Ok
-  return Ok;
+  if (!normalizeInto(*this, T, BadTag))
+    return false; // *this unchanged
+  *this = std::move(T.S);
+  return true;
 }
 
 QueryCacheStats queryCacheStats() {
@@ -724,8 +829,9 @@ QueryCacheStats queryCacheStats() {
     Entries += S.Map.size();
   }
   Tallies &T = tallies();
-  return {T.CacheHits.value(), T.CacheMisses.value(), Entries,
-          T.CoreSubsume.value(), coreIndex().size()};
+  return {T.CacheHits.value(),  T.CacheMisses.value(),
+          Entries,              T.CoreSubsume.value(),
+          coreIndex().size(),   CacheBytes.load(std::memory_order_relaxed)};
 }
 
 void clearQueryCache() {
@@ -735,6 +841,7 @@ void clearQueryCache() {
     S.Map.clear();
   }
   coreIndex().clear();
+  CacheBytes = 0;
   tallies().reset();
   resetBudgetCounters();
 }
@@ -751,82 +858,18 @@ PrefilterStats prefilterStats() {
 }
 
 Ternary prefilterEmptiness(const BasicSet &S) {
-  BasicSet N = S;
-  if (!N.normalize()) {
+  TaggedSet T;
+  uint32_t BadTag;
+  if (!normalizeInto(S, T, BadTag)) {
     tallies().Gcd.add();
     return Ternary::True;
   }
-  return prefilterNormalized(N);
+  return prefilterNormalized(T);
 }
 
 Ternary BasicSet::isEmpty(unsigned NodeBudget) const {
   return isEmpty(NodeBudget, /*Core=*/nullptr);
 }
-
-namespace {
-
-/// Build the shareable row-content core from cited tags, reading row
-/// content out of the normalized tagged set.
-std::shared_ptr<const CachedCore>
-contentCoreFromTags(const TaggedSet &T, const std::vector<uint32_t> &Tags) {
-  auto Core = std::make_shared<CachedCore>();
-  Core->Rows.reserve(Tags.size());
-  for (uint32_t Tag : Tags) {
-    bool Found = false;
-    for (size_t I = 0; I < T.EqTags.size() && !Found; ++I)
-      if (T.EqTags[I] == Tag) {
-        Core->Rows.emplace_back(true, T.S.equalities()[I]);
-        Found = true;
-      }
-    for (size_t I = 0; I < T.IneqTags.size() && !Found; ++I)
-      if (T.IneqTags[I] == Tag) {
-        Core->Rows.emplace_back(false, T.S.inequalities()[I]);
-        Found = true;
-      }
-    if (!Found)
-      return nullptr; // cited row vanished in normalization (cannot happen)
-  }
-  std::sort(Core->Rows.begin(), Core->Rows.end());
-  Core->Rows.erase(std::unique(Core->Rows.begin(), Core->Rows.end()),
-                   Core->Rows.end());
-  return Core;
-}
-
-/// Map a content core back onto a query's rows: every core row must match
-/// one of the query's normalized rows by content; return its tag. False
-/// when a row is missing (a cache entry written by a different canonical
-/// form — impossible for exact-key hits, possible never in practice).
-bool tagsFromContentCore(const TaggedSet &T, const CachedCore &Core,
-                         std::vector<uint32_t> &Tags) {
-  std::map<std::pair<bool, const std::vector<int64_t> *>, uint32_t,
-           bool (*)(const std::pair<bool, const std::vector<int64_t> *> &,
-                    const std::pair<bool, const std::vector<int64_t> *> &)>
-      RowTag([](const std::pair<bool, const std::vector<int64_t> *> &A,
-                const std::pair<bool, const std::vector<int64_t> *> &B) {
-        if (A.first != B.first)
-          return A.first < B.first;
-        return *A.second < *B.second;
-      });
-  for (size_t I = 0; I < T.EqTags.size(); ++I)
-    RowTag.emplace(std::make_pair(true, &T.S.equalities()[I]), T.EqTags[I]);
-  for (size_t I = 0; I < T.IneqTags.size(); ++I)
-    RowTag.emplace(std::make_pair(false, &T.S.inequalities()[I]),
-                   T.IneqTags[I]);
-  for (const auto &[IsEq, Row] : Core.Rows) {
-    auto It = RowTag.find(std::make_pair(IsEq, &Row));
-    if (It == RowTag.end())
-      return false;
-    Tags.push_back(It->second);
-  }
-  return true;
-}
-
-void recordCoreSize(size_t N) {
-  static obs::Histogram &H = obs::histogram("presburger.core_size");
-  H.record(static_cast<uint64_t>(N));
-}
-
-} // namespace
 
 Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
                           std::vector<int64_t> *Witness) const {
@@ -839,10 +882,11 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
   if (Witness)
     Witness->clear();
   // Normalize once, carrying a tag per row; the prefilter ladder, the
-  // cache key, the solver, and core attribution all reuse the result.
-  TaggedSet T(*this);
+  // cache key, the core index, the solver, and core attribution all reuse
+  // the result.
+  TaggedSet T;
   uint32_t BadTag = kBranchTag;
-  if (!normalizeTagged(T, BadTag)) {
+  if (!normalizeInto(*this, T, BadTag)) {
     tallies().Gcd.add();
     if (Core && BadTag != kBranchTag) {
       Core->Rows = {BadTag};
@@ -851,67 +895,42 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
     }
     return Ternary::True;
   }
-  const BasicSet &N = T.S;
-  PrefilterCore PC;
-  if (prefilterNormalized(N, &PC) == Ternary::True) {
-    if (PC.EqRows.size() == 2) {
-      // Two conflicting equalities: a two-row core worth indexing.
-      auto CC = std::make_shared<CachedCore>();
-      CC->Rows.emplace_back(true, N.equalities()[PC.EqRows[0]]);
-      CC->Rows.emplace_back(true, N.equalities()[PC.EqRows[1]]);
-      std::sort(CC->Rows.begin(), CC->Rows.end());
-      coreIndex().insert(CC);
-    }
+  std::vector<size_t> EqPair;
+  if (prefilterNormalized(T, &EqPair) == Ternary::True) {
+    std::vector<uint32_t> Cited;
+    for (size_t R = 0; R < T.S.numConstraints(); ++R)
+      if (EqPair.empty() || std::count(EqPair.begin(), EqPair.end(), R))
+        Cited.push_back(T.tag(R));
+    // Two conflicting equalities: a two-row core worth indexing.
+    if (!EqPair.empty())
+      coreIndex().insert(
+          std::make_shared<CachedCore>(T, RowHashes(T), Cited));
     if (Core) {
-      if (PC.AllRows) {
-        Core->Rows.insert(Core->Rows.end(), T.EqTags.begin(), T.EqTags.end());
-        Core->Rows.insert(Core->Rows.end(), T.IneqTags.begin(),
-                          T.IneqTags.end());
-      } else {
-        for (size_t I : PC.EqRows)
-          Core->Rows.push_back(T.EqTags[I]);
-      }
-      sortUniqueTags(Core->Rows);
+      Core->Rows = std::move(Cited);
       Core->Valid = true;
       recordCoreSize(Core->Rows.size());
     }
     return Ternary::True;
   }
   tallies().PrefilterMiss.add();
-  std::string Key;
-  Key.reserve(32 + (N.numConstraints() + 2) * (NumVars + 2) * 8);
-  Key.push_back('E');
-  appendInt(Key, NodeBudget);
-  appendCanonicalNormalized(Key, N);
+  QueryKey Key('E', NodeBudget, T);
   QueryCache &QC = queryCache();
-  if (std::optional<CacheValue> Hit = QC.lookupRaw(Key)) {
-    tallies().CacheHits.add();
-    if (Core && Hit->V == Ternary::True && Hit->Core) {
-      std::vector<uint32_t> Tags;
-      if (tagsFromContentCore(T, *Hit->Core, Tags)) {
-        sortUniqueTags(Tags);
-        Core->Rows = std::move(Tags);
-        Core->Valid = true;
-      }
-    }
-    return Hit->V;
-  }
+  std::optional<CacheValue> Hit = QC.lookupRaw(Key);
+  RowHashes H(T);
   // Exact-key miss: a previously proven core whose rows all appear in
   // this query refutes it outright (more constraints, fewer points) —
   // budget-independent, so it rescues queries across budget settings too.
-  if (std::shared_ptr<const CachedCore> Sub = coreIndex().subsuming(N)) {
-    tallies().CacheHits.add();
+  std::shared_ptr<const CachedCore> Sub;
+  if (!Hit && (Sub = coreIndex().subsuming(T, H))) {
     tallies().CoreSubsume.add();
-    QC.store(Key, Ternary::True, Sub);
-    if (Core) {
-      std::vector<uint32_t> Tags;
-      if (tagsFromContentCore(T, *Sub, Tags)) {
-        sortUniqueTags(Tags);
-        Core->Rows = std::move(Tags);
-        Core->Valid = true;
-      }
-    }
-    return Ternary::True;
+    Hit = CacheValue{Ternary::True, Sub};
+    QC.store(std::move(Key), Ternary::True, std::move(Sub));
+  }
+  if (Hit) {
+    tallies().CacheHits.add();
+    if (Core && Hit->V == Ternary::True && Hit->Core)
+      mapCore(T, H, *Hit->Core, *Core);
+    return Hit->V;
   }
   tallies().CacheMisses.add();
   // Past the analysis deadline, skip the solver outright (the cache may
@@ -925,19 +944,19 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
   Ternary R = EmptinessCheckerImpl(NodeBudget).run(T, Point, &CoreTags);
   if (R == Ternary::False && Witness)
     *Witness = std::move(Point);
+  std::shared_ptr<const CachedCore> CC;
   if (R == Ternary::True) {
     sortUniqueTags(CoreTags);
-    std::shared_ptr<const CachedCore> CC = contentCoreFromTags(T, CoreTags);
-    QC.store(Key, R, CC);
-    coreIndex().insert(CC);
     recordCoreSize(CoreTags.size());
+    // Every cited tag names a row of T, so the proof is attributed and
+    // the content core holds one row per tag.
+    CC = coreIndex().insert(std::make_shared<CachedCore>(T, H, CoreTags));
     if (Core) {
       Core->Rows = std::move(CoreTags);
-      Core->Valid = CC != nullptr;
+      Core->Valid = true;
     }
-  } else {
-    QC.store(Key, R);
   }
+  QC.store(std::move(Key), R, std::move(CC));
   return R;
 }
 
@@ -945,10 +964,12 @@ std::optional<std::vector<int64_t>>
 BasicSet::sampleIntegerPoint(unsigned NodeBudget) const {
   static obs::Counter &Samples = obs::counter("basicset.samples");
   Samples.add();
+  TaggedSet T;
+  uint32_t BadTag;
   std::vector<int64_t> Point;
-  if (EmptinessCheckerImpl(NodeBudget).run(TaggedSet(*this), Point,
-                                           /*CoreTags=*/nullptr) ==
-      Ternary::False)
+  if (normalizeInto(*this, T, BadTag) &&
+      EmptinessCheckerImpl(NodeBudget).run(T, Point, /*CoreTags=*/nullptr) ==
+          Ternary::False)
     return Point;
   return std::nullopt;
 }
@@ -1147,73 +1168,51 @@ Ternary BasicSet::isSubsetOf(const BasicSet &Other,
   // Prefilters: a proven-empty left side is contained in anything; a
   // trivially-unsat right side reduces the test to emptiness of the left;
   // and syntactic row containment proves the subset without any solver.
-  BasicSet NThis = *this;
-  if (!NThis.normalize()) {
+  TaggedSet NThis, NOther;
+  uint32_t BadTag;
+  if (!normalizeInto(*this, NThis, BadTag)) {
     tallies().Gcd.add();
     return Ternary::True;
   }
-  BasicSet NOther = Other;
-  if (!NOther.normalize())
+  if (!normalizeInto(Other, NOther, BadTag))
     return isEmpty(NodeBudget);
-  if (syntacticallyContains(NThis, NOther)) {
+  if (syntacticallyContains(NThis.S, NOther.S)) {
     tallies().SynSubset.add();
     return Ternary::True;
   }
   // Memoized on (canonical this, canonical other, budget); the per-
   // halfspace emptiness probes below additionally hit the emptiness cache.
-  std::string Key;
-  Key.reserve(32 +
-              (NThis.numConstraints() + NOther.numConstraints() + 4) *
-                  (NumVars + 2) * 8);
-  Key.push_back('S');
-  appendInt(Key, NodeBudget);
-  appendCanonicalNormalized(Key, NThis);
-  appendCanonicalNormalized(Key, NOther);
+  QueryKey Key('S', NodeBudget, NThis, &NOther);
   if (std::optional<CacheValue> Hit = queryCache().lookupRaw(Key)) {
     tallies().CacheHits.add();
     return Hit->V;
   }
   tallies().CacheMisses.add();
-  Ternary Verdict = [&] {
-  // this ⊆ {row >= 0}  iff  this ∧ (row <= -1) is empty. One probe set
-  // is reused across all halfspaces: push the negated row, query, pop.
+  // this ⊆ {row >= 0}  iff  this ∧ (row <= -1) is empty, and an equality
+  // is two halfspaces. One probe set is reused across all halfspaces: push
+  // the negated row, query, pop. The first refuted halfspace ends the test.
   BasicSet Probe = *this;
-  auto ContainedInHalfspace = [&](const std::vector<int64_t> &Row) {
+  Ternary Verdict = Ternary::True;
+  auto Contained = [&](const std::vector<int64_t> &Row, int64_t Sign) {
     std::vector<int64_t> Neg(NumVars + 1);
     for (unsigned J = 0; J <= NumVars; ++J)
-      Neg[J] = -Row[J];
+      Neg[J] = -Sign * Row[J];
     Neg[NumVars] -= 1;
     Probe.addInequality(std::move(Neg));
     Ternary T = Probe.isEmpty(NodeBudget);
     Probe.Ineqs.pop_back();
-    return T;
+    if (T == Ternary::Unknown)
+      Verdict = Ternary::Unknown;
+    return T != Ternary::False;
   };
-  bool SawUnknown = false;
-  for (const auto &Row : Other.Ineqs) {
-    Ternary T = ContainedInHalfspace(Row);
-    if (T == Ternary::False)
-      return Ternary::False;
-    if (T == Ternary::Unknown)
-      SawUnknown = true;
-  }
-  for (const auto &Row : Other.Eqs) {
-    Ternary T = ContainedInHalfspace(Row);
-    if (T == Ternary::False)
-      return Ternary::False;
-    if (T == Ternary::Unknown)
-      SawUnknown = true;
-    std::vector<int64_t> Neg(NumVars + 1);
-    for (unsigned J = 0; J <= NumVars; ++J)
-      Neg[J] = -Row[J];
-    T = ContainedInHalfspace(Neg);
-    if (T == Ternary::False)
-      return Ternary::False;
-    if (T == Ternary::Unknown)
-      SawUnknown = true;
-  }
-  return SawUnknown ? Ternary::Unknown : Ternary::True;
-  }();
-  queryCache().store(Key, Verdict);
+  bool AllContained = true;
+  for (const auto &Row : Other.Ineqs)
+    AllContained = AllContained && Contained(Row, 1);
+  for (const auto &Row : Other.Eqs)
+    AllContained = AllContained && Contained(Row, 1) && Contained(Row, -1);
+  if (!AllContained)
+    Verdict = Ternary::False;
+  queryCache().store(std::move(Key), Verdict);
   return Verdict;
 }
 

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
+#include <set>
 
 using namespace sds::presburger;
 
@@ -585,4 +588,252 @@ TEST(QueryCache, CachedVerdictsMatchFreshSolves) {
     EXPECT_EQ(First, Cached) << "trial " << Trial;
     EXPECT_EQ(First, Recomputed) << "trial " << Trial;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Canonical keys: what shares a cache entry and what never does.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A random unboxed system over 2-3 variables: few enough rows that the
+/// interval rung rarely decides it, so most trials reach the cache.
+BasicSet randomCacheSet(std::mt19937 &Rng) {
+  std::uniform_int_distribution<int64_t> Coef(-2, 2);
+  std::uniform_int_distribution<int> Pick(0, 3);
+  unsigned NumVars = 2 + Pick(Rng) % 2;
+  BasicSet S(NumVars);
+  int Rows = 2 + Pick(Rng);
+  for (int R = 0; R < Rows; ++R) {
+    std::vector<int64_t> Row(NumVars + 1);
+    for (auto &V : Row)
+      V = Coef(Rng);
+    if (Pick(Rng) == 0)
+      S.addEquality(Row);
+    else
+      S.addInequality(Row);
+  }
+  return S;
+}
+
+/// Row `Id` of `S` in core numbering (equalities first), normalized on its
+/// own, with its kind.
+std::pair<bool, std::vector<int64_t>> normalRow(const BasicSet &S,
+                                                uint32_t Id) {
+  bool IsEq = Id < S.equalities().size();
+  BasicSet One(S.numVars());
+  if (IsEq)
+    One.addEquality(S.equalities()[Id]);
+  else
+    One.addInequality(S.inequalities()[Id - S.equalities().size()]);
+  EXPECT_TRUE(One.normalize());
+  const auto &Rows = IsEq ? One.equalities() : One.inequalities();
+  return {IsEq, Rows.empty() ? std::vector<int64_t>{} : Rows[0]};
+}
+
+std::set<std::pair<bool, std::vector<int64_t>>>
+coreContent(const BasicSet &S, const EmptinessCore &C) {
+  std::set<std::pair<bool, std::vector<int64_t>>> Out;
+  for (uint32_t Id : C.Rows)
+    Out.insert(normalRow(S, Id));
+  return Out;
+}
+
+/// `S` with its rows shuffled, some duplicated, all scaled by one positive
+/// factor, and each equality's sign flipped at random: the same normalized
+/// system.
+BasicSet disguise(const BasicSet &S, std::mt19937 &Rng) {
+  std::uniform_int_distribution<int64_t> Factor(2, 4);
+  std::uniform_int_distribution<int> Coin(0, 1);
+  int64_t K = Factor(Rng);
+  auto Scaled = [K](std::vector<int64_t> Row, int64_t Sign) {
+    for (auto &V : Row)
+      V *= K * Sign;
+    return Row;
+  };
+  std::vector<std::vector<int64_t>> Eqs = S.equalities(),
+                                    Ineqs = S.inequalities();
+  for (auto *Rows : {&Eqs, &Ineqs}) {
+    size_t N = Rows->size();
+    for (size_t I = 0; I < N; ++I)
+      if (Coin(Rng))
+        Rows->push_back((*Rows)[I]);
+    std::shuffle(Rows->begin(), Rows->end(), Rng);
+  }
+  BasicSet Out(S.numVars());
+  for (const auto &Row : Eqs)
+    Out.addEquality(Scaled(Row, Coin(Rng) ? 1 : -1));
+  for (const auto &Row : Ineqs)
+    Out.addInequality(Scaled(Row, 1));
+  return Out;
+}
+
+uint64_t exactHits() {
+  QueryCacheStats St = queryCacheStats();
+  return St.Hits - St.CoreSubsumptionHits;
+}
+
+uint64_t cacheTraffic() {
+  QueryCacheStats St = queryCacheStats();
+  return St.Hits + St.Misses;
+}
+
+/// Both systems normalized, rows sorted: equal iff one canonical form.
+bool sameNormalForm(BasicSet A, BasicSet B) {
+  if (!A.normalize() || !B.normalize())
+    return false;
+  auto Sorted = [](std::vector<std::vector<int64_t>> Rows) {
+    std::sort(Rows.begin(), Rows.end());
+    return Rows;
+  };
+  return Sorted(A.equalities()) == Sorted(B.equalities()) &&
+         Sorted(A.inequalities()) == Sorted(B.inequalities());
+}
+
+} // namespace
+
+TEST(QueryCache, DisguisedCopyHitsOriginalEntryAndMapsItsCore) {
+  std::mt19937 Rng(31337);
+  unsigned Cached = 0, CoresMapped = 0;
+  for (int Trial = 0; Trial < 1500; ++Trial) {
+    clearQueryCache();
+    BasicSet S = randomCacheSet(Rng);
+    EmptinessCore CoreS;
+    Ternary V = S.isEmpty(16, &CoreS);
+    bool ReachedCache = cacheTraffic() == 1;
+    BasicSet Copy = disguise(S, Rng);
+    uint64_t HitsBefore = exactHits();
+    EmptinessCore CoreCopy;
+    EXPECT_EQ(Copy.isEmpty(16, &CoreCopy), V) << S.str();
+    // The interval rung reads rows in storage order for a bounded number
+    // of rounds, so it may decide one ordering and not the other; only a
+    // query that reaches the cache has a key, and Unknown is not stored.
+    if (!ReachedCache || cacheTraffic() != 2 || V == Ternary::Unknown)
+      continue;
+    ++Cached;
+    EXPECT_EQ(exactHits(), HitsBefore + 1) << S.str() << " vs " << Copy.str();
+    if (V != Ternary::True || !CoreS.Valid)
+      continue;
+    ++CoresMapped;
+    ASSERT_TRUE(CoreCopy.Valid) << Copy.str();
+    EXPECT_EQ(coreContent(Copy, CoreCopy), coreContent(S, CoreS))
+        << S.str() << " vs " << Copy.str();
+    // The mapped tags name rows of the copy that alone are empty.
+    BasicSet Cited(Copy.numVars());
+    for (uint32_t Id : CoreCopy.Rows) {
+      auto [IsEq, Row] = normalRow(Copy, Id);
+      if (IsEq)
+        Cited.addEquality(Row);
+      else
+        Cited.addInequality(Row);
+    }
+    EXPECT_EQ(Cited.isEmpty(256), Ternary::True) << Copy.str();
+  }
+  EXPECT_GE(Cached, 800u);
+  EXPECT_GE(CoresMapped, 100u);
+}
+
+TEST(QueryCache, OneConstantOrOneRowKindApartNeverShareAnEntry) {
+  std::mt19937 Rng(4711);
+  unsigned Compared = 0;
+  for (int Trial = 0; Trial < 600; ++Trial) {
+    BasicSet S = randomCacheSet(Rng);
+    std::vector<std::vector<int64_t>> Eqs = S.equalities(),
+                                      Ineqs = S.inequalities();
+    size_t NumRows = Eqs.size() + Ineqs.size();
+    std::uniform_int_distribution<size_t> PickRow(0, NumRows - 1);
+    size_t R = PickRow(Rng);
+    bool IsEq = R < Eqs.size();
+    std::vector<int64_t> &Row = IsEq ? Eqs[R] : Ineqs[R - Eqs.size()];
+    // Variant 0 moves the row's constant by the gcd of its variable part
+    // (so normalization keeps the difference); variant 1 flips its kind.
+    for (int Variant = 0; Variant < 2; ++Variant) {
+      BasicSet V(S.numVars());
+      std::vector<int64_t> Changed = Row;
+      bool ChangedIsEq = IsEq;
+      if (Variant == 0) {
+        int64_t G = 0;
+        for (unsigned J = 0; J < S.numVars(); ++J)
+          G = std::gcd(G, Changed[J]);
+        Changed.back() += G ? G : 1;
+      } else {
+        ChangedIsEq = !IsEq;
+      }
+      for (const auto &E : Eqs)
+        if (&E != &Row)
+          V.addEquality(E);
+      for (const auto &I : Ineqs)
+        if (&I != &Row)
+          V.addInequality(I);
+      if (ChangedIsEq)
+        V.addEquality(Changed);
+      else
+        V.addInequality(Changed);
+      if (sameNormalForm(S, V))
+        continue; // the change vanished in normalization: one system
+      clearQueryCache();
+      (void)S.isEmpty(16);
+      uint64_t HitsBefore = exactHits();
+      Ternary Got = V.isEmpty(16);
+      EXPECT_EQ(exactHits(), HitsBefore) << S.str() << " vs " << V.str();
+      clearQueryCache();
+      EXPECT_EQ(Got, V.isEmpty(16)) << V.str();
+      ++Compared;
+    }
+  }
+  EXPECT_GE(Compared, 1000u);
+}
+
+TEST(QueryCache, DropsEntriesPastTheByteBudget) {
+  // x0 + x1 >= 1 and x0 + x1 <= 0: empty, but no single-variable bound
+  // refutes it, so the solver proves it and the core index keeps it.
+  constexpr unsigned NumVars = 2048;
+  constexpr unsigned ExtraRows = 254; // keys of 256 rows, 4 MiB each
+  auto Row = [](std::initializer_list<std::pair<unsigned, int64_t>> Terms,
+                int64_t C) {
+    std::vector<int64_t> R(NumVars + 1, 0);
+    for (auto [J, A] : Terms)
+      R[J] = A;
+    R[NumVars] = C;
+    return R;
+  };
+  clearQueryCache();
+  BasicSet Core(NumVars);
+  Core.addInequality(Row({{0, 1}, {1, 1}}, -1));
+  Core.addInequality(Row({{0, -1}, {1, -1}}, 0));
+  ASSERT_EQ(Core.isEmpty(), Ternary::True);
+  ASSERT_EQ(queryCacheStats().CoreEntries, 1u);
+  // Each query adds distinct lower bounds on other variables: it misses
+  // its exact key, the core index answers it, and it is stored, until the
+  // budget has no room for a 4 MiB key.
+  auto Query = [&](int64_t Q) {
+    BasicSet S = Core;
+    for (unsigned R = 0; R < ExtraRows; ++R)
+      S.addInequality(Row({{2 + R, 1}}, Q));
+    return S;
+  };
+  uint64_t Entries = queryCacheStats().Entries;
+  int64_t Q = 0;
+  for (;; ++Q) {
+    ASSERT_LT(Q, 200) << "the budget was never reached";
+    EXPECT_EQ(Query(Q).isEmpty(), Ternary::True);
+    QueryCacheStats St = queryCacheStats();
+    EXPECT_LE(St.Bytes, kQueryCacheBudgetBytes);
+    if (St.Entries == Entries)
+      break; // dropped
+    Entries = St.Entries;
+  }
+  EXPECT_GT(queryCacheStats().Bytes, kQueryCacheBudgetBytes - (8u << 20));
+  // A dropped query is answered again, still right, and still not stored;
+  // an entry stored before the budget filled still hits.
+  QueryCacheStats Before = queryCacheStats();
+  EXPECT_EQ(Query(Q).isEmpty(), Ternary::True);
+  EXPECT_EQ(Query(0).isEmpty(), Ternary::True);
+  QueryCacheStats After = queryCacheStats();
+  EXPECT_EQ(After.Entries, Before.Entries);
+  EXPECT_EQ(After.CoreSubsumptionHits, Before.CoreSubsumptionHits + 1);
+  EXPECT_EQ(After.Hits - After.CoreSubsumptionHits,
+            Before.Hits - Before.CoreSubsumptionHits + 1);
+  clearQueryCache();
+  EXPECT_EQ(queryCacheStats().Bytes, 0u);
 }

@@ -9,9 +9,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "sds/presburger/BasicSet.h"
+#include "sds/support/MathExtras.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 
@@ -302,4 +304,203 @@ TEST(Prefilter, CountersAttributeRejections) {
   EXPECT_EQ(St.rejects(), 3u);
   clearQueryCache();
   EXPECT_EQ(prefilterStats().rejects(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Interval rung against the quadratic reference
+//===----------------------------------------------------------------------===//
+//
+// The interval rung reads each term's maximum once per row and takes the
+// maximum of the other terms as the row's sum minus the term; rows whose
+// terms are large enough that a partial sum might overflow fall back to
+// summing term by term. The reference below is the earlier O(vars^2) loop,
+// which re-sums every other term for each variable, overflow-checking each
+// partial sum in column order. The two must decide every system alike,
+// including systems whose coefficients and constants sit near 2^62, where
+// partial sums overflow 128 bits.
+
+namespace {
+
+using sds::Int128;
+
+struct ReferenceInterval {
+  unsigned AddOverflows = 0; ///< partial sums that overflowed (coverage)
+
+  bool conflict(const BasicSet &N) {
+    unsigned NumVars = N.numVars();
+    struct Bound {
+      bool HasLo = false, HasHi = false;
+      Int128 Lo = 0, Hi = 0;
+    };
+    std::vector<Bound> B(NumVars);
+    struct RowRef {
+      const std::vector<int64_t> *Row;
+      bool Negate;
+    };
+    std::vector<RowRef> Rows;
+    for (const auto &R : N.inequalities())
+      Rows.push_back({&R, false});
+    for (const auto &R : N.equalities()) {
+      Rows.push_back({&R, false});
+      Rows.push_back({&R, true});
+    }
+    auto Coeff = [&](const RowRef &RR, unsigned J) {
+      int64_t C = (*RR.Row)[J];
+      return RR.Negate ? -C : C;
+    };
+    auto MaxTerm = [&](int64_t A, const Bound &Bd, Int128 &Out) {
+      if (A > 0)
+        return Bd.HasHi && !sds::mulOverflow128(Int128(A), Bd.Hi, Out);
+      return Bd.HasLo && !sds::mulOverflow128(Int128(A), Bd.Lo, Out);
+    };
+    auto Add = [&](Int128 &Acc, Int128 T) {
+      if (sds::addOverflow128(Acc, T, Acc)) {
+        ++AddOverflows;
+        return false;
+      }
+      return true;
+    };
+    for (unsigned Round = 0; Round < 4; ++Round) {
+      bool Changed = false;
+      for (const RowRef &RR : Rows) {
+        Int128 C = Coeff(RR, NumVars);
+        for (unsigned J = 0; J < NumVars; ++J) {
+          int64_t AJ = Coeff(RR, J);
+          if (AJ == 0)
+            continue;
+          Int128 MaxRest = C;
+          bool RestBounded = true;
+          for (unsigned K = 0; K < NumVars && RestBounded; ++K) {
+            int64_t AK = Coeff(RR, K);
+            if (K == J || AK == 0)
+              continue;
+            Int128 T;
+            RestBounded = MaxTerm(AK, B[K], T) && Add(MaxRest, T);
+          }
+          if (!RestBounded)
+            continue;
+          Bound &Bd = B[J];
+          if (AJ > 0) {
+            Int128 Lo = sds::ceilDiv128(-MaxRest, AJ);
+            if (!Bd.HasLo || Lo > Bd.Lo) {
+              Bd.HasLo = true;
+              Bd.Lo = Lo;
+              Changed = true;
+            }
+          } else {
+            Int128 Hi = sds::floorDiv128(-MaxRest, AJ);
+            if (!Bd.HasHi || Hi < Bd.Hi) {
+              Bd.HasHi = true;
+              Bd.Hi = Hi;
+              Changed = true;
+            }
+          }
+          if (Bd.HasLo && Bd.HasHi && Bd.Lo > Bd.Hi)
+            return true;
+        }
+        Int128 RowMax = C;
+        bool AllBounded = true;
+        for (unsigned J = 0; J < NumVars && AllBounded; ++J) {
+          int64_t AJ = Coeff(RR, J);
+          if (AJ == 0)
+            continue;
+          Int128 T;
+          AllBounded = MaxTerm(AJ, B[J], T) && Add(RowMax, T);
+        }
+        if (AllBounded && RowMax < 0)
+          return true;
+      }
+      if (!Changed)
+        break;
+    }
+    return false;
+  }
+
+  /// The whole ladder: GCD rows, conflicting equalities, intervals.
+  Ternary ladder(const BasicSet &S) {
+    BasicSet N = S;
+    if (!N.normalize())
+      return Ternary::True;
+    const auto &Eqs = N.equalities();
+    unsigned NumVars = N.numVars();
+    for (size_t A = 0; A < Eqs.size(); ++A)
+      for (size_t B = A + 1; B < Eqs.size(); ++B)
+        if (std::equal(Eqs[A].begin(), Eqs[A].begin() + NumVars,
+                       Eqs[B].begin()) &&
+            Eqs[A][NumVars] != Eqs[B][NumVars])
+          return Ternary::True;
+    return conflict(N) ? Ternary::True : Ternary::Unknown;
+  }
+};
+
+/// Unit bound rows boxing most variables around 0 plus a few dense rows,
+/// in shuffled order, with entries that are zero, small, or within 2^20 of
+/// +-2^62 or of +-(2^63 - 1). The bounds reach 2^62-2^63, so dense-row
+/// terms reach 2^124-2^126 and partial sums of two to eight of them
+/// overflow 128 bits.
+BasicSet randomWideSet(std::mt19937 &Rng, unsigned NumVars) {
+  std::uniform_int_distribution<int> Kind(0, 9);
+  std::uniform_int_distribution<int64_t> Small(-3, 3);
+  std::uniform_int_distribution<int64_t> Near(-(int64_t(1) << 20),
+                                              int64_t(1) << 20);
+  std::uniform_int_distribution<int> NumDense(1, 3);
+  auto Entry = [&] {
+    int K = Kind(Rng);
+    if (K < 2)
+      return int64_t(0);
+    if (K < 5)
+      return Small(Rng);
+    int64_t Off = Near(Rng);
+    int64_t V = K % 2 ? (int64_t(1) << 62) + Off
+                      : INT64_MAX - (Off < 0 ? -Off : Off);
+    return K < 7 ? V : -V;
+  };
+  std::vector<std::pair<bool, std::vector<int64_t>>> Rows;
+  for (unsigned J = 0; J < NumVars; ++J)
+    for (int64_t Sign : {1, -1})
+      if (Kind(Rng) < 8) {
+        std::vector<int64_t> Row(NumVars + 1, 0);
+        Row[J] = Sign;
+        int64_t C = Entry();
+        Row[NumVars] = C < 0 ? -C : C; // a box around 0, rarely empty
+        Rows.emplace_back(false, std::move(Row));
+      }
+  for (int R = NumDense(Rng); R > 0; --R) {
+    std::vector<int64_t> Row(NumVars + 1);
+    for (auto &V : Row)
+      V = Entry();
+    Rows.emplace_back(Kind(Rng) == 0, std::move(Row));
+  }
+  std::shuffle(Rows.begin(), Rows.end(), Rng);
+  BasicSet S(NumVars);
+  for (auto &[IsEq, Row] : Rows) {
+    if (IsEq)
+      S.addEquality(std::move(Row));
+    else
+      S.addInequality(std::move(Row));
+  }
+  return S;
+}
+
+} // namespace
+
+TEST(Prefilter, IntervalRungMatchesQuadraticReference) {
+  std::mt19937 Rng(2025);
+  ReferenceInterval Ref;
+  unsigned Rejected = 0;
+  auto Check = [&](const BasicSet &S) {
+    Ternary Want = Ref.ladder(S);
+    EXPECT_EQ(prefilterEmptiness(S), Want) << S.str();
+    Rejected += Want == Ternary::True;
+  };
+  for (int Trial = 0; Trial < 1500; ++Trial)
+    Check(randomMixedSet(Rng, 2 + Trial % 4));
+  unsigned SmallRejected = Rejected;
+  for (int Trial = 0; Trial < 6000; ++Trial)
+    Check(randomWideSet(Rng, 2 + Trial % 5));
+  // Both halves must exercise what they are for: rejections among the
+  // small systems, and overflowing partial sums among the wide ones.
+  EXPECT_GE(SmallRejected, 100u);
+  EXPECT_GE(Rejected - SmallRejected, 100u);
+  EXPECT_GE(Ref.AddOverflows, 100u);
 }
